@@ -58,7 +58,8 @@ void run_setting(const char* name, const fhe::DghvParams& params, util::Table& t
 
 int main() {
   std::printf("E7: DGHV somewhat-homomorphic encryption on top of the multiplier\n");
-  std::printf("(hom-mult = one gamma-bit product; software wall-clock, this host)\n\n");
+  std::printf("(hom-mult = one gamma-bit product + reduction mod x0; software wall-clock, "
+              "this host)\n\n");
 
   util::Table t({"setting", "gamma (bits)", "keygen", "encrypt", "hom-add", "hom-mult",
                  "decrypt", "check"});
@@ -80,14 +81,23 @@ int main() {
   fhe::Dghv scheme(fhe::DghvParams::small_paper(), 11);
   const auto ca = scheme.encrypt(true);
   const auto cb = scheme.encrypt(true);
-  const auto start = Clock::now();
+  // The accelerator models the product alone, so the software figure it
+  // is compared against is the engine's product, without the reduction
+  // modulo x0 that Dghv::multiply adds.
+  auto start = Clock::now();
+  const bigint::BigUInt raw = scheme.engine()->multiply(ca.value, cb.value);
+  const double product_ms = ms_since(start);
+  start = Clock::now();
   const auto product = scheme.multiply(ca, cb);
-  const double sw_ms = ms_since(start);
-  std::printf("Software SSA time for the same product on this host: %s\n",
-              util::format_time_ns(sw_ms * 1e6).c_str());
+  const double hom_mult_ms = ms_since(start);
+  std::printf("Software %s product alone on this host: %s (%zu bits)\n",
+              scheme.engine()->name().c_str(), util::format_time_ns(product_ms * 1e6).c_str(),
+              raw.bit_length());
+  std::printf("Full homomorphic multiply (product + reduction mod x0): %s\n",
+              util::format_time_ns(hom_mult_ms * 1e6).c_str());
   std::printf("Decrypt(Enc(1) AND Enc(1)) = %d (expect 1)\n",
               scheme.decrypt(product) ? 1 : 0);
-  std::printf("\nModeled accelerator speedup over this host's software SSA: %.1fx\n",
-              sw_ms * 1000.0 / perf.mult_us());
+  std::printf("\nModeled accelerator speedup over this host's software product: %.1fx\n",
+              product_ms * 1000.0 / perf.mult_us());
   return 0;
 }

@@ -5,9 +5,8 @@
 // and verifies every engine bit-exactly against the others on every run.
 //
 // Three classes of output feed the CI bench-regression gate:
-//   * deterministic op counts (shift vs. DSP multiplications per plan) and
-//     intra-op tile counts (groups / tiles per scheduler multiply) --
-//     exact facts of the decomposition and the tiling geometry, hard-gated;
+//   * deterministic op counts (shift vs. DSP multiplications per plan) --
+//     exact facts of the decomposition, hard-gated;
 //   * the four-step headline: the 64K convolve must stay >= 1.3x faster
 //     than the monolithic radix-2 sweep on one lane (hard-gated bool);
 //   * wall-clock figures (sweep timings, per-call multiply cost) -- runner
@@ -19,17 +18,16 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <future>
 #include <string>
 #include <vector>
 
 #include "bigint/mul.hpp"
-#include "core/scheduler.hpp"
 #include "ntt/context.hpp"
 #include "ntt/four_step.hpp"
 #include "ntt/mixed_radix.hpp"
 #include "ntt/radix2.hpp"
 #include "ssa/multiply.hpp"
+#include "ssa/pack.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -59,19 +57,6 @@ struct SweepPoint {
   double four_step_ms = 0.0;
   double speedup = 0.0;
   bool bit_exact = false;
-};
-
-/// One worker-count arm of the intra-op lane-scaling section. The tile
-/// counts are deterministic in (transform shape, worker count, multiply
-/// count); the fanout flag and timings depend on the host.
-struct LaneArm {
-  unsigned workers = 0;
-  u64 tile_groups = 0;
-  u64 tiles = 0;
-  u64 tiles_per_multiply = 0;
-  unsigned lanes_with_tiles = 0;
-  double ms_per_multiply = 0.0;
-  bool serial_match = false;
 };
 
 }  // namespace
@@ -111,23 +96,23 @@ int main(int argc, char** argv) {
   radix2_64k.forward(via_radix2);
   bool bit_exact = out64k == via_radix2;
 
-  // ... and end to end through a multiplication on each engine, including
-  // the four-step upgrade forced on and off.
+  // ... and end to end through a multiplication: ssa::multiply (four-step
+  // at this size) against the same packing convolved by the radix-2
+  // engine, and against Karatsuba.
   const std::size_t mul_bits = quick ? 49152 : 196608;
   util::Rng rng(0xE8);
   const bigint::BigUInt a = bigint::BigUInt::random_bits(rng, mul_bits);
   const bigint::BigUInt b = bigint::BigUInt::random_bits(rng, mul_bits);
-  ssa::SsaParams fast_params = ssa::SsaParams::for_bits(mul_bits);
-  ssa::SsaParams mixed_params = fast_params;
-  mixed_params.engine = ssa::Engine::kMixedRadix;
-  ssa::SsaParams four_step_params = fast_params;
-  four_step_params.four_step = ssa::FourStepMode::kAlways;
-  ssa::SsaParams monolithic_params = fast_params;
-  monolithic_params.four_step = ssa::FourStepMode::kNever;
+  const ssa::SsaParams fast_params = ssa::SsaParams::for_bits(mul_bits);
   const bigint::BigUInt product_fast = ssa::multiply(a, b, fast_params);
-  bit_exact = bit_exact && product_fast == ssa::multiply(a, b, mixed_params) &&
-              product_fast == ssa::multiply(a, b, four_step_params) &&
-              product_fast == ssa::multiply(a, b, monolithic_params) &&
+  fp::FpVec pack_a;
+  fp::FpVec pack_b;
+  ssa::pack_into(a, fast_params, pack_a);
+  ssa::pack_into(b, fast_params, pack_b);
+  ntt::shared_radix2(fast_params.transform_size).convolve_into(pack_a, pack_b);
+  bigint::BigUInt product_radix2;
+  ssa::carry_recover_into(pack_a, fast_params.coeff_bits, product_radix2);
+  bit_exact = bit_exact && fast_params.use_four_step() && product_fast == product_radix2 &&
               product_fast == bigint::mul_karatsuba(a, b);
   std::printf("parity (iterative vs radix-2 vs four-step vs karatsuba): %s\n\n",
               bit_exact ? "bit-exact" : "MISMATCH");
@@ -182,7 +167,7 @@ int main(int argc, char** argv) {
     point.n = n;
     fp::FpVec va;
     fp::FpVec vb;
-    fp::FpVec tile_scratch;
+    fp::FpVec turn_scratch;
     point.radix2_ms = time_ms(iters, [&] {
       va = base_a;
       vb = base_b;
@@ -192,7 +177,7 @@ int main(int argc, char** argv) {
     point.four_step_ms = time_ms(iters, [&] {
       va = base_a;
       vb = base_b;
-      fs.convolve_into(va, vb, tile_scratch);
+      fs.convolve_into(va, vb, turn_scratch);
     });
     point.speedup = point.radix2_ms / point.four_step_ms;
     point.bit_exact = va == reference;
@@ -210,66 +195,6 @@ int main(int argc, char** argv) {
   }
   std::printf("headline 64K speedup: %.2fx (gate >= 1.30x: %s)\n\n", head.speedup,
               speedup_64k_ok ? "pass" : "FAIL");
-
-  // --- intra-op lane scaling: one multiply fanned across PE lanes --------
-  // Each arm drives `arm_multiplies` paper-size products through a
-  // scheduler with w workers. Tile accounting is deterministic: a cached
-  // four-step multiply with two fresh operands dispatches 12 tile groups
-  // (2 forwards x 4 passes + pointwise + 3 inverse passes), each split into
-  // FourStepNtt::tiles_per_pass(256, w) tiles at the 64K shape. The lane
-  // distribution is timing-dependent; running several multiplies per arm
-  // keeps the w=2 fanout flag robust even on a single-CPU host.
-  const unsigned arm_workers[] = {1, 2, 4};
-  const int arm_multiplies = 8;
-  const std::size_t arm_bits = 786432;  // the paper's operand size
-  std::printf("intra-op lane scaling (%d x %zu-bit multiplies per arm):\n", arm_multiplies,
-              arm_bits);
-  std::vector<LaneArm> arms;
-  ssa::Workspace serial_ws;  // no tile executor: the serial reference path
-  for (const unsigned workers : arm_workers) {
-    core::Config config;
-    config.backend_name = "ssa";
-    config.num_workers = workers;
-    config.intra_op_tiling = true;
-    core::Scheduler scheduler(config);
-
-    LaneArm arm;
-    arm.workers = workers;
-    arm.serial_match = true;
-    util::Rng arm_rng(0x4F'00 + workers);
-    const auto t0 = Clock::now();
-    for (int i = 0; i < arm_multiplies; ++i) {
-      const bigint::BigUInt ma = bigint::BigUInt::random_bits(arm_rng, arm_bits);
-      const bigint::BigUInt mb = bigint::BigUInt::random_bits(arm_rng, arm_bits);
-      const bigint::BigUInt tiled = scheduler.submit_multiply(ma, mb).get();
-      bigint::BigUInt serial;
-      ssa::multiply_into(serial, ma, mb, ssa::SsaParams::for_bits(arm_bits), serial_ws);
-      arm.serial_match = arm.serial_match && tiled == serial;
-    }
-    const auto t1 = Clock::now();
-    arm.ms_per_multiply =
-        std::chrono::duration<double, std::milli>(t1 - t0).count() / arm_multiplies;
-
-    const core::SchedulerStats stats = scheduler.stats();
-    arm.tile_groups = stats.tile_groups;
-    arm.tiles = stats.tiles_executed;
-    arm.tiles_per_multiply = stats.tiles_executed / arm_multiplies;
-    for (const core::LaneStats& lane : stats.lanes) {
-      if (lane.tiles > 0) ++arm.lanes_with_tiles;
-    }
-    bit_exact = bit_exact && arm.serial_match;
-    std::printf(
-        "  w=%u: %3llu groups, %4llu tiles (%llu/multiply), %u lane(s) ran tiles, "
-        "%7.2f ms/multiply, %s\n",
-        workers, static_cast<unsigned long long>(arm.tile_groups),
-        static_cast<unsigned long long>(arm.tiles),
-        static_cast<unsigned long long>(arm.tiles_per_multiply), arm.lanes_with_tiles,
-        arm.ms_per_multiply, arm.serial_match ? "bit-exact" : "MISMATCH");
-    arms.push_back(arm);
-  }
-  const u64 groups_per_multiply = arms.front().tile_groups / arm_multiplies;
-  const bool multi_lane_fanout = arms[1].lanes_with_tiles >= 2;
-  std::printf("multi-lane fanout at w=2: %s\n", multi_lane_fanout ? "yes" : "NO");
 
   if (!json_path.empty()) {
     std::FILE* out = std::fopen(json_path.c_str(), "w");
@@ -303,29 +228,9 @@ int main(int argc, char** argv) {
     }
     std::fprintf(out,
                  "    },\n    \"convolve_64k_ms\": %.3f,\n    \"speedup_64k\": %.3f,\n"
-                 "    \"speedup_64k_ge_1_3\": %s,\n    \"min_sweep_speedup\": %.3f\n  },\n",
+                 "    \"speedup_64k_ge_1_3\": %s,\n    \"min_sweep_speedup\": %.3f\n  }\n}\n",
                  head.four_step_ms, head.speedup, speedup_64k_ok ? "true" : "false",
                  min_sweep_speedup);
-    std::fprintf(out,
-                 "  \"intra_op\": {\n    \"multiplies_per_arm\": %d,\n"
-                 "    \"operand_bits\": %zu,\n    \"tile_groups_per_multiply\": %llu,\n"
-                 "    \"arms\": {\n",
-                 arm_multiplies, arm_bits,
-                 static_cast<unsigned long long>(groups_per_multiply));
-    for (std::size_t i = 0; i < arms.size(); ++i) {
-      const LaneArm& arm = arms[i];
-      std::fprintf(out,
-                   "      \"w%u\": {\"workers\": %u, \"tile_groups\": %llu, "
-                   "\"tiles\": %llu, \"tiles_per_multiply\": %llu, "
-                   "\"lanes_with_tiles\": %u, \"ms_per_multiply\": %.3f}%s\n",
-                   arm.workers, arm.workers, static_cast<unsigned long long>(arm.tile_groups),
-                   static_cast<unsigned long long>(arm.tiles),
-                   static_cast<unsigned long long>(arm.tiles_per_multiply),
-                   arm.lanes_with_tiles, arm.ms_per_multiply,
-                   i + 1 < arms.size() ? "," : "");
-    }
-    std::fprintf(out, "    },\n    \"multi_lane_fanout\": %s\n  }\n}\n",
-                 multi_lane_fanout ? "true" : "false");
     std::fclose(out);
     std::printf("json: %s\n", json_path.c_str());
   }

@@ -120,7 +120,6 @@ int main(int argc, char** argv) {
     // Warm the shared radix-2 twiddle tables outside the timed region so
     // the first lane count doesn't pay the one-time setup.
     scheduler.submit_multiply(jobs[0].first, jobs[0].second).get();
-    scheduler.wait_idle();
     double warmup_busy_ms = 0.0;
     for (const core::LaneStats& lane : scheduler.stats().lanes) warmup_busy_ms += lane.busy_ms;
 
@@ -130,9 +129,6 @@ int main(int argc, char** argv) {
     products.reserve(jobs_n);
     for (auto& future : futures) products.push_back(future.get());
     const auto t1 = Clock::now();
-    // Lane stats are booked after each future is satisfied; drain them
-    // before reading, or the last job per lane can be missing.
-    scheduler.wait_idle();
 
     for (std::size_t i = 0; i < jobs_n; ++i) exact = exact && products[i] == expected[i];
 

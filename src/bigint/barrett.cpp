@@ -14,10 +14,11 @@ BarrettReducer::BarrettReducer(BigUInt modulus)
   k_ = m_.limb_count();
   // mu = floor(b^(2k) / m), b = 2^64 -- the only division ever performed.
   mu_ = BigUInt::pow2(128 * k_) / m_;
+  m_squared_ = mul_auto(m_, m_);
 }
 
 BigUInt BarrettReducer::reduce(const BigUInt& x) const {
-  HEMUL_CHECK_MSG(x < mul_schoolbook(m_, m_), "Barrett input must be below m^2");
+  HEMUL_CHECK_MSG(x < m_squared_, "Barrett input must be below m^2");
 
   // q1 = floor(x / b^(k-1)); q3 = floor(q1 * mu / b^(k+1)).
   BigUInt q = x >> (64 * (k_ - 1));

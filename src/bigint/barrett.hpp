@@ -46,6 +46,7 @@ class BarrettReducer {
  private:
   BigUInt m_;
   BigUInt mu_;       ///< floor(2^(128k) / m), k = limb count of m
+  BigUInt m_squared_;  ///< m^2, the input bound reduce() checks in O(n)
   std::size_t k_;    ///< limbs in m
   MulFn mul_;
   mutable u64 mults_ = 0;

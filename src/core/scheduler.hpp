@@ -12,7 +12,6 @@
 
 #include "backend/backend.hpp"
 #include "core/config.hpp"
-#include "ntt/tiling.hpp"
 #include "ssa/spectrum_cache.hpp"
 
 namespace hemul::core {
@@ -22,7 +21,8 @@ namespace hemul::core {
 struct LaneStats {
   unsigned lane = 0;
   u64 jobs = 0;        ///< jobs this lane executed
-  u64 tiles = 0;       ///< intra-op (four-step) tiles this lane executed
+  u64 tiles = 0;       ///< reserved, always 0 (kept for the FleetStats wire
+                       ///< layout, which carries it per lane)
   u64 hw_cycles = 0;   ///< modeled cycles this lane's jobs cost
                        ///< (simulated-hw lanes only)
   double busy_ms = 0.0;  ///< wall-clock spent executing jobs
@@ -32,12 +32,10 @@ struct LaneStats {
 struct SchedulerStats {
   std::vector<LaneStats> lanes;
   u64 submitted = 0;  ///< jobs accepted by submit()
-  u64 completed = 0;  ///< jobs whose future is (or is about to be) ready
-  /// Intra-op tiling: tile groups run through run_tiles() and the total
-  /// tiles they split into. Deterministic in the job stream + lane count
-  /// (unlike the per-lane tile distribution, which depends on timing).
-  u64 tile_groups = 0;
-  u64 tiles_executed = 0;
+  /// Jobs that finished. A job is counted here, in its lane's `jobs` and
+  /// in its lane's `busy_ms` before its future becomes ready, so stats()
+  /// read after future.get() always includes that job.
+  u64 completed = 0;
   /// Shared spectrum cache accounting ("ssa" lanes): hits + misses equals
   /// the forward-spectrum lookups across all lanes.
   ssa::ConcurrentSpectrumCache::Stats cache;
@@ -118,26 +116,6 @@ class Scheduler {
   std::future<bigint::BigUInt> submit_spectrum_materialize(ssa::SpectrumHandle spectrum,
                                                            ssa::SsaParams params);
 
-  // ---- nested tile execution -----------------------------------------
-  // The intra-op parallelism seam: a job already running on a lane splits
-  // one large NTT pass into tiles and calls run_tiles, which fans the
-  // tiles across idle lanes WITHOUT blocking the spawning lane -- the
-  // caller claims and executes tiles itself until the group drains, so
-  // progress never depends on another lane being free (a 1-lane scheduler
-  // degenerates to serial execution instead of deadlocking, and nested
-  // groups compose). See CONTRIBUTING.md "Nested scheduler work items".
-
-  /// Runs tile(0) .. tile(count - 1) across the calling thread + idle
-  /// lanes; returns when all tiles completed. Callable from lane threads
-  /// (nested submission) and from outside the scheduler alike. Tiles must
-  /// not block on scheduler futures. The first exception thrown by a tile
-  /// is rethrown on the calling thread after the group drains.
-  void run_tiles(u64 count, const std::function<void(u64)>& tile);
-
-  /// TileExecutor facade over run_tiles (installed on "ssa" lane
-  /// workspaces when config.intra_op_tiling).
-  [[nodiscard]] ntt::TileExecutor& tile_executor() noexcept { return tile_exec_; }
-
   /// Blocks until the queue is empty and every lane is idle.
   void wait_idle();
 
@@ -153,47 +131,24 @@ class Scheduler {
   [[nodiscard]] ssa::ConcurrentSpectrumCache& spectrum_cache() noexcept { return *cache_; }
 
  private:
-  /// Type-erased unit of work. The runner owns its promise (shared_ptr,
-  /// since std::function requires copyable closures) and reports results /
-  /// exceptions through it, so one queue carries integer jobs and spectrum
-  /// jobs alike. `internal` marks tile-helper tasks spawned by run_tiles:
-  /// they ride the same queue but do not count as submitted/completed jobs
-  /// (SchedulerStats job counters describe the caller-visible workload).
-  struct Task {
-    std::function<void(backend::MultiplierBackend&)> run;
-    bool internal = false;
-  };
+  /// Type-erased unit of work, run on a lane against its backend. The
+  /// runner computes the job, calls `book` (which records the job in the
+  /// lane's counters) and only then fulfils the job's promise, so one
+  /// queue carries integer jobs and spectrum jobs alike and the counters
+  /// never lag the futures.
+  using Task = std::function<void(backend::MultiplierBackend&, const std::function<void()>& book)>;
 
-  /// One run_tiles invocation: a shared claim counter the caller and the
-  /// helper tasks drain cooperatively.
-  struct TileGroup;
-
-  class IntraOpExecutor final : public ntt::TileExecutor {
-   public:
-    explicit IntraOpExecutor(Scheduler* scheduler) noexcept : scheduler_(scheduler) {}
-    [[nodiscard]] unsigned concurrency() const noexcept override {
-      return scheduler_->num_workers();
-    }
-    void run(u64 count, const std::function<void(u64)>& tile) override {
-      scheduler_->run_tiles(count, tile);
-    }
-
-   private:
-    Scheduler* scheduler_;
-  };
-
-  void enqueue(std::function<void(backend::MultiplierBackend&)> run, bool internal = false);
+  /// Wraps `compute` (backend& -> T) in a Task reporting through a
+  /// promise, enqueues it and returns the future.
+  template <typename T, typename Compute>
+  std::future<T> enqueue_job(Compute compute);
 
   [[nodiscard]] std::shared_ptr<backend::MultiplierBackend> make_lane_backend();
   void worker_loop(unsigned lane);
-  /// Claims and executes tiles of the group until none remain; returns how
-  /// many this thread ran.
-  static u64 drain_tiles(TileGroup& group);
 
   Config config_;
   std::shared_ptr<ssa::ConcurrentSpectrumCache> cache_;
   std::vector<std::shared_ptr<backend::MultiplierBackend>> lane_backends_;
-  IntraOpExecutor tile_exec_{this};
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
@@ -203,8 +158,6 @@ class Scheduler {
   unsigned active_ = 0;
   u64 submitted_ = 0;
   u64 completed_ = 0;
-  u64 tile_groups_ = 0;
-  u64 tiles_executed_ = 0;
   std::vector<LaneStats> lane_stats_;
 
   std::vector<std::thread> threads_;  ///< last member: joins before teardown

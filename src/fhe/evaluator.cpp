@@ -508,7 +508,6 @@ std::vector<Ciphertext> Evaluator::evaluate(const Graph& graph,
                                 static_cast<i64>(wf.spectra_cached + wf.inverses_paid);
         wf.lanes_used = gates.empty() && forwards.empty() && leaves.empty() ? 0 : 1;
         if (collect_stats) {
-          scheduler_->wait_idle();
           const core::SchedulerStats after = scheduler_->stats();
           wf.lanes_used = 0;
           for (std::size_t lane = 0; lane < after.lanes.size(); ++lane) {
@@ -524,13 +523,11 @@ std::vector<Ciphertext> Evaluator::evaluate(const Graph& graph,
     std::vector<bigint::BigUInt> products;
     if (scheduler_ != nullptr) {
       // Per-wavefront lane/cache numbers are before/after deltas of the
-      // scheduler-wide stats, and lane stats are booked only after each
-      // future is satisfied (so the delta needs a wait_idle). Both are
-      // observability-only: collect them just when a report was asked for,
-      // so reportless evaluation never blocks on (or misattributes) work
-      // other threads may be running on a shared scheduler. Per-wavefront
-      // stats are accurate only when the scheduler is not shared
-      // concurrently during the evaluation.
+      // scheduler-wide stats (a lane books each job before its future is
+      // satisfied, so the delta is complete once every future is read).
+      // They are observability-only: collect them just when a report was
+      // asked for. Per-wavefront stats are accurate only when the
+      // scheduler is not shared concurrently during the evaluation.
       const bool collect_stats = report != nullptr;
       core::SchedulerStats before;
       if (collect_stats) before = scheduler_->stats();
@@ -545,7 +542,6 @@ std::vector<Ciphertext> Evaluator::evaluate(const Graph& graph,
       products.reserve(futures.size());
       for (auto& future : futures) products.push_back(future.get());
       if (collect_stats) {
-        scheduler_->wait_idle();
         const core::SchedulerStats after = scheduler_->stats();
         wf.cache_hits = after.cache.hits - before.cache.hits;
         wf.cache_misses = after.cache.misses - before.cache.misses;

@@ -1,7 +1,5 @@
 #include "ssa/batch.hpp"
 
-#include "fp/kernels.hpp"
-#include "ntt/context.hpp"
 #include "ntt/four_step.hpp"
 #include "ntt/radix2.hpp"
 #include "ssa/pack.hpp"
@@ -13,22 +11,17 @@ using fp::FpVec;
 
 namespace {
 
-/// Uniform engine access over the two software paths, bound to one
-/// workspace. Spectra are in the producing engine's own order (engine
-/// order for radix-2, natural for mixed-radix); they only ever meet this
-/// view's own inverse path, so the orders never mix.
+/// Uniform engine access over the two transform paths, bound to one
+/// workspace. Spectra are in the producing engine's own order; they only
+/// ever meet this view's own inverse path, so the orders never mix.
 struct EngineView {
   const ntt::Radix2Ntt* radix2 = nullptr;
-  const ntt::NttContext* mixed = nullptr;
   const ntt::FourStepNtt* four_step = nullptr;
   const SsaParams& params;
   Workspace& ws;
-  ntt::FourStepStats tile_stats;  ///< intra-op tiling across this view's calls
 
   EngineView(const SsaParams& p, Workspace& w) : params(p), ws(w) {
-    if (p.engine == Engine::kMixedRadix) {
-      mixed = &ntt::shared_context(p.plan);
-    } else if (p.use_four_step()) {
+    if (p.use_four_step()) {
       four_step = &ntt::shared_four_step(p.transform_size);
     } else {
       radix2 = &ntt::shared_radix2(p.transform_size);
@@ -36,20 +29,15 @@ struct EngineView {
   }
 
   /// Forward spectrum of an operand into `dst` (resized; reuses its
-  /// capacity). dst must not be a pack buffer of this view's workspace.
+  /// capacity), transformed in place. dst must not be a pack buffer of
+  /// this view's workspace.
   void forward_into(const BigUInt& operand, FpVec& dst) {
-    if (mixed != nullptr) {
-      pack_into(operand, params, ws.pack_a);
-      mixed->forward(ws.pack_a, dst, ws.ntt);
-      return;
-    }
-    if (four_step != nullptr) {
-      pack_into(operand, params, dst);
-      four_step->forward_spectrum(dst, ws.tile_scratch, ws.tile_executor, &tile_stats);
-      return;
-    }
     pack_into(operand, params, dst);
-    radix2->forward_spectrum(dst);  // in place: no copy at all
+    if (four_step != nullptr) {
+      four_step->forward_spectrum(dst, ws.turn_scratch);
+    } else {
+      radix2->forward_spectrum(dst);
+    }
   }
 
   /// Forward spectrum as a freshly owned vector (cache storage).
@@ -62,13 +50,8 @@ struct EngineView {
   /// product = carry_recover(inverse(fa . fb)); fa/fb may live in the
   /// spectrum cache or in ws.spec_a/ws.spec_b, never in the pack buffers.
   void product_into(BigUInt& product, const FpVec& fa, const FpVec& fb) {
-    if (mixed != nullptr) {
-      ws.pack_b.resize(fa.size());
-      fp::pointwise_product(ws.pack_b.data(), fa.data(), fb.data(), fa.size());
-      mixed->inverse(ws.pack_b, ws.pack_a, ws.ntt);
-    } else if (four_step != nullptr) {
-      four_step->convolve_from_spectra(ws.pack_a, fa, fb, ws.tile_scratch, ws.tile_executor,
-                                       &tile_stats);
+    if (four_step != nullptr) {
+      four_step->convolve_from_spectra(ws.pack_a, fa, fb, ws.turn_scratch);
     } else {
       radix2->convolve_from_spectra(ws.pack_a, fa, fb);
     }
@@ -139,8 +122,6 @@ BigUInt multiply_cached(const BigUInt& a, const BigUInt& b, const SsaParams& par
   if (stats != nullptr) {
     stats->pointwise_muls += params.transform_size;
     stats->transform_count += forwards_executed + 1;  // cache hits skip forwards
-    stats->tile_groups += engine.tile_stats.tile_groups;
-    stats->tiles += engine.tile_stats.tiles;
   }
   return product;
 }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include "bigint/biguint.hpp"
-#include "ntt/op_counts.hpp"
 #include "ssa/params.hpp"
 #include "ssa/workspace.hpp"
 
@@ -15,21 +14,12 @@ namespace hemul::ssa {
 /// on spectrum-cache-hit paths (a cached operand skips its forward
 /// transform -- see multiply_cached / multiply_batch).
 struct SsaStats {
-  ntt::NttOpCounts transform_ops;  ///< all executed NTTs combined
-  u64 pointwise_muls = 0;          ///< component-wise products (paper: 65536)
-  u64 transform_count = 0;         ///< forward + inverse NTTs actually run
-  /// Four-step intra-op tiling: passes dispatched through a TileExecutor
-  /// and the tiles they split into (0 when the monolithic path ran or no
-  /// executor was installed). Deterministic in params + lane count.
-  u64 tile_groups = 0;
-  u64 tiles = 0;
+  u64 pointwise_muls = 0;   ///< component-wise products (paper: 65536)
+  u64 transform_count = 0;  ///< forward + inverse NTTs actually run
 
   SsaStats& operator+=(const SsaStats& o) noexcept {
-    transform_ops += o.transform_ops;
     pointwise_muls += o.pointwise_muls;
     transform_count += o.transform_count;
-    tile_groups += o.tile_groups;
-    tiles += o.tiles;
     return *this;
   }
 };

@@ -1,5 +1,6 @@
 #include "ssa/params.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "fp/fp64.hpp"
@@ -32,7 +33,6 @@ SsaParams SsaParams::paper() {
   params.coeff_bits = 24;
   params.num_coeffs = 32768;
   params.transform_size = 65536;
-  params.plan = ntt::NttPlan::paper_64k();
   params.validate();
   return params;
 }
@@ -48,7 +48,6 @@ SsaParams SsaParams::for_bits(std::size_t operand_bits, unsigned headroom_bits) 
     params.num_coeffs = num_coeffs;
     params.transform_size = next_pow2(2 * num_coeffs);
     params.transform_size = std::max<u64>(params.transform_size, 2);
-    params.plan = ntt::NttPlan::pure_radix2(params.transform_size);
     params.validate();
     return params;
   }
@@ -62,7 +61,6 @@ void SsaParams::validate() const {
                   "transform must have 2x headroom for the acyclic product");
   HEMUL_CHECK_MSG((transform_size & (transform_size - 1)) == 0,
                   "transform size must be a power of two");
-  HEMUL_CHECK_MSG(plan.size == transform_size, "plan size must match transform size");
   HEMUL_CHECK_MSG(exact(coeff_bits, num_coeffs),
                   "coefficient width too large for exact convolution");
 }

@@ -2,30 +2,15 @@
 
 #include <cstddef>
 
-#include "ntt/plan.hpp"
+#include "fp/fp64.hpp"
 
 namespace hemul::ssa {
-
-/// Which NTT engine executes the transforms of an SSA multiplication.
-enum class Engine {
-  kRadix2Fast,  ///< iterative radix-2 software path (fast golden model)
-  kMixedRadix,  ///< Cooley-Tukey plan engine (paper Eq. 2 staging)
-};
-
-/// Whether the radix-2 fast path upgrades to the four-step cache-blocked
-/// transform (ntt::FourStepNtt).
-enum class FourStepMode {
-  kAuto,    ///< four-step when transform_size >= kFourStepMinTransform
-  kAlways,  ///< force four-step (tests, threshold tuning)
-  kNever,   ///< force the monolithic iterative sweep
-};
 
 /// Memory layout of the spectra a parameterization produces. Spectra are
 /// only meaningful to the inverse path of the engine that produced them;
 /// caches key entries by this tag so layouts never mix.
 enum class SpectralLayout {
   kRadix2Engine,    ///< bit-reversed order of the radix-2 DIF sweep
-  kMixedNatural,    ///< natural order of the mixed-radix plan engine
   kFourStepEngine,  ///< row-major n2 x n1 [rev(k2)][rev(k1)] four-step order
 };
 
@@ -36,7 +21,7 @@ enum class SpectralLayout {
 /// full-width SIMD passes, which pays off from tiny sizes (measured 3-8x
 /// for 64 <= N <= 128K on an AVX-512 host; see README "Software NTT fast
 /// path"). Below 64 the matrix lanes are narrower than a vector and the
-/// extra corner-turn loses.
+/// extra corner-turn loses, so the radix-2 sweep runs there.
 inline constexpr u64 kFourStepMinTransform = 64;
 
 /// Parameters of one Schonhage-Strassen multiplication instance.
@@ -51,12 +36,8 @@ struct SsaParams {
   std::size_t coeff_bits = 0;  ///< m: bits per polynomial coefficient
   u64 num_coeffs = 0;          ///< operand coefficients (before padding)
   u64 transform_size = 0;      ///< N: NTT length, power of two >= 2*num_coeffs
-  ntt::NttPlan plan;           ///< stage decomposition for the mixed-radix engine
-  Engine engine = Engine::kRadix2Fast;
-  FourStepMode four_step = FourStepMode::kAuto;  ///< radix-2 path upgrade policy
 
-  /// The paper's configuration: 786,432-bit operands, m = 24, N = 64K,
-  /// plan 64*64*16.
+  /// The paper's configuration: 786,432-bit operands, m = 24, N = 64K.
   static SsaParams paper();
 
   /// Chooses the largest exact coefficient width for the given operand size
@@ -69,20 +50,16 @@ struct SsaParams {
   /// operand_bits == 0.
   static SsaParams for_bits(std::size_t operand_bits, unsigned headroom_bits = 0);
 
-  /// Does the radix-2 fast path run as the four-step cache-blocked
-  /// transform under these parameters? Deterministic in the params alone,
-  /// so every consumer (multiply, batch, resident domain, caches) resolves
-  /// the same engine for the same parameterization.
+  /// Does the transform run as the four-step cache-blocked engine (true)
+  /// or the radix-2 sweep (false)? Decided by transform_size alone, so
+  /// every consumer (multiply, batch, resident domain, caches) resolves the
+  /// same engine for the same parameterization.
   [[nodiscard]] bool use_four_step() const noexcept {
-    if (engine != Engine::kRadix2Fast) return false;
-    if (four_step == FourStepMode::kAlways) return transform_size >= 4;
-    if (four_step == FourStepMode::kNever) return false;
     return transform_size >= kFourStepMinTransform;
   }
 
   /// Layout of the spectra this parameterization produces (cache keying).
   [[nodiscard]] SpectralLayout spectral_layout() const noexcept {
-    if (engine == Engine::kMixedRadix) return SpectralLayout::kMixedNatural;
     return use_four_step() ? SpectralLayout::kFourStepEngine : SpectralLayout::kRadix2Engine;
   }
 

@@ -9,7 +9,6 @@
 
 namespace hemul::ntt {
 class Radix2Ntt;
-class NttContext;
 class FourStepNtt;
 }  // namespace hemul::ntt
 
@@ -26,8 +25,7 @@ namespace hemul::ssa {
 /// stands for. As long as the bound stays below p, the inverse transform
 /// recovers the exact integer coefficients, so pointwise sums may pile up
 /// without any per-addition canonicalization; canonicalization happens only
-/// at inverse time (or, for the mixed-radix engine, immediately before the
-/// inverse, which expects canonical inputs).
+/// at inverse time.
 ///
 /// Two kinds of spectra flow through the evaluator:
 ///   * operand spectra (from enter()): degree = ceil(bits / m) packed
@@ -63,12 +61,12 @@ inline constexpr unsigned kResidentHeadroomBits = 6;
 /// Binds one SSA parameterization (packing geometry + engine) to a
 /// workspace and exposes the spectrum-domain operations the evaluator
 /// composes: enter (pack + forward), pointwise multiply, lazy pointwise
-/// accumulate, and leave (canonicalize + inverse + carry recovery).
+/// accumulate, and leave (inverse + carry recovery).
 ///
 /// Spectra produced by one SpectrumDomain are only meaningful to a domain
-/// with the same engine AND geometry (the radix-2 fast path stores
-/// engine-order spectra, the mixed-radix path natural order); the caches
-/// key resident entries accordingly.
+/// with the same geometry, which fixes the engine (radix-2 below
+/// kFourStepMinTransform, four-step above; each stores its own engine
+/// order); the caches key resident entries accordingly.
 class SpectrumDomain {
  public:
   /// Engines are resolved through the process-wide shared caches, so
@@ -99,9 +97,9 @@ class SpectrumDomain {
   /// Requires can_accumulate.
   void accumulate(ResidentSpectrum& acc, const ResidentSpectrum& b) const;
 
-  /// out = the exact integer `s` stands for: canonicalize when the engine
-  /// demands it, inverse transform, carry recovery. `s` is not consumed --
-  /// a cached spectrum can be left (inverted) many times.
+  /// out = the exact integer `s` stands for: inverse transform, carry
+  /// recovery. `s` is not consumed -- a cached spectrum can be left
+  /// (inverted) many times.
   void leave(bigint::BigUInt& out, const ResidentSpectrum& s) const;
 
   /// True-coefficient bound of any operand spectrum of this geometry.
@@ -116,7 +114,6 @@ class SpectrumDomain {
   /// spectra entered through this domain carry that layout, and the caches
   /// key resident entries by it, so bound tracking is layout-independent.
   const ntt::Radix2Ntt* radix2_ = nullptr;
-  const ntt::NttContext* mixed_ = nullptr;
   const ntt::FourStepNtt* four_step_ = nullptr;
   SsaParams params_;
   Workspace* ws_;

@@ -83,11 +83,10 @@ const fp::FpVec& BatchSpectrumProvider::get(const bigint::BigUInt& operand,
 u64 ConcurrentSpectrumCache::key_hash(const bigint::BigUInt& operand,
                                       const SsaParams& params) noexcept {
   u64 h = SpectrumCache::hash(operand);
-  // Fold the packing geometry AND the resolved spectral layout in so equal
-  // operands under different parameterizations land in different buckets:
-  // the radix-2 path stores engine-order (bit-reversed) spectra, the
-  // four-step path its own row-major bit-reversed order, the mixed-radix
-  // path natural order -- all layout-incompatible despite equal geometry.
+  // Fold the packing geometry AND the spectral layout in so equal operands
+  // under different parameterizations land in different buckets: the
+  // radix-2 path stores engine-order (bit-reversed) spectra, the four-step
+  // path its own row-major bit-reversed order.
   h ^= static_cast<u64>(params.coeff_bits) * 0x9E3779B97F4A7C15ULL;
   h ^= params.transform_size * 0xC2B2AE3D27D4EB4FULL;
   h ^= static_cast<u64>(params.spectral_layout()) * 0xD6E8FEB86659FD93ULL;

@@ -17,9 +17,8 @@
 namespace hemul::ssa {
 
 /// Cache of forward NTT spectra keyed by operand value. Spectra are stored
-/// in the producing engine's own order (engine order for the radix-2 fast
-/// path); they are only ever combined by that same engine's inverse path,
-/// so the layout never leaks.
+/// in the producing engine's own order; they are only ever combined by that
+/// same engine's inverse path, so the layout never leaks.
 ///
 /// The SSA pipeline spends 2 of its 3 transforms on the forward NTTs of the
 /// operands. When a batch multiplies one integer against many others (a
@@ -122,14 +121,14 @@ class BatchSpectrumProvider {
 /// of BatchSpectrumProvider's within-batch amortization.
 ///
 /// Keys pair the operand value with the packing geometry (coeff_bits,
-/// transform_size) AND the engine, so lanes running different SSA
-/// parameterizations never mix incompatible spectra (the radix-2 fast path
-/// stores engine-order spectra, the mixed-radix path natural order --
-/// equal geometry does not imply an equal layout). Entries are immutable once published and held
-/// by shared_ptr, so readers keep their spectrum alive without holding the
-/// lock. On a miss the forward transform runs outside the lock; two lanes
-/// racing on the same cold operand may both compute it (both count as
-/// misses), but exactly one result is published.
+/// transform_size) AND the spectral layout, so lanes running different SSA
+/// parameterizations never mix incompatible spectra (the radix-2 and
+/// four-step engines each store their own engine order). Entries are
+/// immutable once published and held by shared_ptr, so readers keep their
+/// spectrum alive without holding the lock. On a miss the forward
+/// transform runs outside the lock; two lanes racing on the same cold
+/// operand may both compute it (both count as misses), but exactly one
+/// result is published.
 ///
 /// Memory is bounded: at most `capacity` spectra are retained (a spectrum
 /// is transform_size field elements, i.e. ~0.5 MB at the paper's 64K
@@ -192,9 +191,8 @@ class ConcurrentSpectrumCache {
   struct Entry {
     std::size_t coeff_bits;
     u64 transform_size;
-    /// Resolved spectral layout, NOT just the engine enum: the radix-2
-    /// fast path and its four-step upgrade share Engine::kRadix2Fast but
-    /// produce layout-incompatible spectra, so the layout is the key.
+    /// Spectral layout of the producing engine (spectra of the radix-2
+    /// and four-step engines are layout-incompatible).
     SpectralLayout layout;
     bigint::BigUInt operand;
     fp::FpVec spectrum;

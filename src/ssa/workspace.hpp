@@ -1,8 +1,6 @@
 #pragma once
 
 #include "fp/fp64.hpp"
-#include "ntt/context.hpp"
-#include "ntt/tiling.hpp"
 
 namespace hemul::ssa {
 
@@ -11,7 +9,7 @@ struct SsaParams;
 /// Reusable buffer arena for the SSA multiplication pipeline -- the
 /// software analogue of the accelerator's statically managed on-chip
 /// operand/spectrum buffers. One workspace owns every transient the
-/// pipeline needs (packed operands, spectra, NTT column scratch); buffers
+/// pipeline needs (packed operands, spectra, corner-turn scratch); buffers
 /// keep their capacity across calls, so once warmed up a multiplication
 /// performs zero heap allocations (the allocation-audit test enforces
 /// this).
@@ -26,19 +24,9 @@ class Workspace {
  public:
   fp::FpVec pack_a;  ///< packed operand a / in-place transform buffer
   fp::FpVec pack_b;  ///< packed operand b / batch product buffer
-  fp::FpVec spec_a;  ///< spectrum of a (mixed-radix path, batch scratch)
-  fp::FpVec spec_b;  ///< spectrum of b
-  ntt::NttScratch ntt;  ///< column gather/scatter scratch for NttContext
-  fp::FpVec tile_scratch;  ///< four-step corner-turn scratch (transform_size)
-
-  /// Intra-op tile executor for the four-step transform, or nullptr for
-  /// serial cache-blocked execution. Non-owning: the scheduler installs
-  /// its own executor on each lane workspace and outlives the lanes.
-  /// Tiles of one pass touch disjoint row ranges of this workspace's
-  /// buffers, the sanctioned exception to the single-owner rule (see
-  /// CONTRIBUTING.md): the owner blocks inside the pass, and no buffer may
-  /// be resized while a tile group is in flight.
-  ntt::TileExecutor* tile_executor = nullptr;
+  fp::FpVec spec_a;  ///< spectrum of a (batch scratch, resident inverse input)
+  fp::FpVec spec_b;  ///< spectrum of b (batch scratch)
+  fp::FpVec turn_scratch;  ///< four-step corner-turn scratch (transform_size)
 
   /// Pre-warms every buffer for the given parameters so even the first
   /// call allocates nothing (optional; buffers also grow on demand).

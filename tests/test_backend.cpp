@@ -243,25 +243,6 @@ TEST(Fhe, DghvRunsOnExplicitBackends) {
   }
 }
 
-TEST(Fhe, SetMultiplierWrapsFunctionBackend) {
-  fhe::Dghv scheme(fhe::DghvParams::toy(), 9);
-  static std::atomic<int> calls{0};
-  calls = 0;
-  // The deprecated shim must keep behaving like the documented path
-  // (set_backend + FunctionBackend) until it is removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  scheme.set_multiplier([](const BigUInt& a, const BigUInt& b) {
-    ++calls;
-    return bigint::mul_schoolbook(a, b);
-  });
-#pragma GCC diagnostic pop
-  const auto c = scheme.multiply(scheme.encrypt(true), scheme.encrypt(true));
-  EXPECT_TRUE(scheme.decrypt(c));
-  EXPECT_GE(calls.load(), 1);
-  EXPECT_EQ(scheme.engine()->name(), "custom");
-}
-
 TEST(SsaBackendStats, CumulativeTransformCountIsCacheAware) {
   // The shared-cache path must not charge 3 transforms per product: the
   // second multiply of the same pair only runs the inverse.

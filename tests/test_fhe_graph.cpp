@@ -256,9 +256,8 @@ void expect_bit_exact(const std::vector<Ciphertext>& got,
 /// per-test timeout under sanitizers).
 hw::AcceleratorConfig small_hw_config() {
   hw::AcceleratorConfig config = hw::AcceleratorConfig::paper();
-  config.ssa = ssa::SsaParams::for_bits(4096);
-  config.ssa.plan = ntt::NttPlan::from_radices({8, 8, 8});  // N = 512
-  config.ntt.plan = config.ssa.plan;
+  config.ssa = ssa::SsaParams::for_bits(4096);              // N = 512
+  config.ntt.plan = ntt::NttPlan::from_radices({8, 8, 8});
   return config;
 }
 

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -31,27 +30,6 @@ FpVec random_vec(util::Rng& rng, std::size_t n) {
 /// Worst case for the redundant representation: every input pinned at the
 /// largest canonical value p - 1.
 FpVec adversarial_vec(std::size_t n) { return FpVec(n, Fp::from_canonical(fp::kModulus - 1)); }
-
-/// Test executor: runs every tile of a pass serially but in REVERSE order,
-/// proving the tiles of one pass are independent (any interleaving a real
-/// scheduler produces is bit-exact). Counts groups/tiles for the stats
-/// parity checks.
-class ReversedExecutor final : public TileExecutor {
- public:
-  explicit ReversedExecutor(unsigned concurrency) : concurrency_(concurrency) {}
-  [[nodiscard]] unsigned concurrency() const noexcept override { return concurrency_; }
-  void run(u64 count, const std::function<void(u64)>& tile) override {
-    ++groups;
-    tiles += count;
-    for (u64 i = count; i-- > 0;) tile(i);
-  }
-
-  u64 groups = 0;
-  u64 tiles = 0;
-
- private:
-  unsigned concurrency_;
-};
 
 // ---- natural-order golden parity -----------------------------------------
 
@@ -222,95 +200,44 @@ TEST(FourStepConvolve, FromSpectraMatchesDirect) {
   EXPECT_EQ(out, direct_a);
 }
 
-// ---- tiled execution -----------------------------------------------------
-
-TEST(FourStepTiling, TiledPassesAreOrderIndependentAndCounted) {
-  const u64 n = 4096;  // 64 x 64: every pass runs over 64 rows
-  const FourStepNtt engine(n);
-  util::Rng rng(9);
-  const FpVec a = random_vec(rng, n);
-  const FpVec b = random_vec(rng, n);
-
-  FpVec serial_a = a, serial_b = b, scratch;
-  engine.convolve_into(serial_a, serial_b, scratch);
-
-  ReversedExecutor exec(4);
-  FourStepStats stats;
-  FpVec tiled_a = a, tiled_b = b;
-  engine.convolve_into(tiled_a, tiled_b, scratch, &exec, &stats);
-
-  EXPECT_EQ(tiled_a, serial_a);
-  EXPECT_GT(stats.tile_groups, 0u);
-  EXPECT_EQ(stats.tile_groups, exec.groups);
-  EXPECT_EQ(stats.tiles, exec.tiles);
-  // Square split: every pass covers 64 rows, so the total is exactly
-  // groups * tiles_per_pass.
-  EXPECT_EQ(stats.tiles, stats.tile_groups * FourStepNtt::tiles_per_pass(64, 4));
-}
-
-TEST(FourStepTiling, TilesPerPassIsDeterministic) {
-  // 2x oversubscription, capped by 8-row tile granularity.
-  EXPECT_EQ(FourStepNtt::tiles_per_pass(256, 0), 2u);  // serial-ish floor
-  EXPECT_EQ(FourStepNtt::tiles_per_pass(256, 1), 2u);
-  EXPECT_EQ(FourStepNtt::tiles_per_pass(256, 2), 4u);
-  EXPECT_EQ(FourStepNtt::tiles_per_pass(256, 4), 8u);
-  EXPECT_EQ(FourStepNtt::tiles_per_pass(8, 8), 1u);     // one 8-row tile
-  EXPECT_EQ(FourStepNtt::tiles_per_pass(1024, 64), 128u);
-}
-
 // ---- ssa routing ---------------------------------------------------------
 
-TEST(SsaFourStep, MultiplyMatchesMonolithicPath) {
-  for (const std::size_t bits : {1000u, 4096u, 20000u}) {
+TEST(SsaFourStep, MultiplyMatchesSchoolbookAcrossTheEngineThreshold) {
+  // for_bits picks m = 26 here: 416 bits -> 16 coefficients -> a 32-point
+  // radix-2 transform; 417 bits -> 17 coefficients -> 64 points, the first
+  // four-step size. The transform follows transform_size alone.
+  bool saw_radix2 = false;
+  bool saw_four_step = false;
+  for (const std::size_t bits : {100u, 416u, 417u, 1000u, 4096u, 20000u}) {
     util::Rng rng(bits);
     const BigUInt a = BigUInt::random_bits(rng, bits);
     const BigUInt b = BigUInt::random_bits(rng, bits);
 
-    ssa::SsaParams four = ssa::SsaParams::for_bits(bits);
-    four.four_step = ssa::FourStepMode::kAlways;
-    ssa::SsaParams mono = four;
-    mono.four_step = ssa::FourStepMode::kNever;
-    ASSERT_TRUE(four.use_four_step());
-    ASSERT_FALSE(mono.use_four_step());
+    const ssa::SsaParams params = ssa::SsaParams::for_bits(bits);
+    EXPECT_EQ(params.use_four_step(), params.transform_size >= ssa::kFourStepMinTransform) << bits;
+    saw_radix2 = saw_radix2 || !params.use_four_step();
+    saw_four_step = saw_four_step || params.use_four_step();
 
-    const BigUInt product = ssa::multiply(a, b, four);
-    EXPECT_EQ(product, ssa::multiply(a, b, mono)) << bits;
-    EXPECT_EQ(product, bigint::mul_schoolbook(a, b)) << bits;
-    EXPECT_EQ(ssa::square(a, four), ssa::square(a, mono)) << bits;
+    EXPECT_EQ(ssa::multiply(a, b, params), bigint::mul_schoolbook(a, b)) << bits;
+    EXPECT_EQ(ssa::square(a, params), bigint::mul_schoolbook(a, a)) << bits;
   }
+  EXPECT_EQ(ssa::SsaParams::for_bits(416).transform_size, 32u);
+  EXPECT_EQ(ssa::SsaParams::for_bits(417).transform_size, 64u);
+  EXPECT_TRUE(saw_radix2);
+  EXPECT_TRUE(saw_four_step);
 }
 
 TEST(SsaFourStep, AdversarialAllOnesOperands) {
-  const std::size_t bits = 4096;
-  const BigUInt ones = BigUInt::pow2(bits) - BigUInt(1);
-  ssa::SsaParams params = ssa::SsaParams::for_bits(bits);
-  params.four_step = ssa::FourStepMode::kAlways;
-  EXPECT_EQ(ssa::multiply(ones, ones, params), bigint::mul_schoolbook(ones, ones));
-}
-
-TEST(SsaFourStep, StatsReportTileCountsThroughWorkspace) {
-  const std::size_t bits = 4096;
-  util::Rng rng(17);
-  const BigUInt a = BigUInt::random_bits(rng, bits);
-  const BigUInt b = BigUInt::random_bits(rng, bits);
-
-  ssa::SsaParams params = ssa::SsaParams::for_bits(bits);
-  params.four_step = ssa::FourStepMode::kAlways;
-  ReversedExecutor exec(2);
-  ssa::Workspace workspace;
-  workspace.tile_executor = &exec;
-  ssa::SsaStats stats;
-  BigUInt out;
-  ssa::multiply_into(out, a, b, params, workspace, &stats);
-  EXPECT_EQ(out, bigint::mul_schoolbook(a, b));
-  EXPECT_GT(stats.tile_groups, 0u);
-  EXPECT_EQ(stats.tile_groups, exec.groups);
-  EXPECT_EQ(stats.tiles, exec.tiles);
+  // One size on each side of kFourStepMinTransform.
+  for (const std::size_t bits : {416u, 4096u}) {
+    const BigUInt ones = BigUInt::pow2(bits) - BigUInt(1);
+    const ssa::SsaParams params = ssa::SsaParams::for_bits(bits);
+    EXPECT_EQ(ssa::multiply(ones, ones, params), bigint::mul_schoolbook(ones, ones)) << bits;
+  }
 }
 
 TEST(SsaFourStep, SpectrumDomainRoundTripsWithFourStepEngine) {
-  ssa::SsaParams params = ssa::SsaParams::for_bits(1024, ssa::kResidentHeadroomBits);
-  params.four_step = ssa::FourStepMode::kAlways;
+  const ssa::SsaParams params = ssa::SsaParams::for_bits(1024, ssa::kResidentHeadroomBits);
   ASSERT_TRUE(params.use_four_step());
   ssa::Workspace workspace;
   const ssa::SpectrumDomain domain(params, workspace);
@@ -338,17 +265,17 @@ TEST(SsaFourStep, SpectrumDomainRoundTripsWithFourStepEngine) {
 }
 
 TEST(SsaFourStep, SpectrumCacheSeparatesLayouts) {
-  // The four-step and monolithic radix-2 spectra share Engine::kRadix2Fast
-  // but are layout-incompatible: the cache must never serve one for the
-  // other.
-  ssa::SsaParams four = ssa::SsaParams::for_bits(1024);
-  four.four_step = ssa::FourStepMode::kAlways;
-  ssa::SsaParams mono = four;
-  mono.four_step = ssa::FourStepMode::kNever;
-  ASSERT_NE(four.spectral_layout(), mono.spectral_layout());
+  // One value cached under a radix-2 geometry and a four-step geometry:
+  // the two spectra are layout-incompatible, so the cache must never
+  // serve one for the other.
+  const ssa::SsaParams four = ssa::SsaParams::for_bits(1024);
+  const ssa::SsaParams radix2 = ssa::SsaParams::for_bits(200);
+  ASSERT_TRUE(four.use_four_step());
+  ASSERT_FALSE(radix2.use_four_step());
+  ASSERT_NE(four.spectral_layout(), radix2.spectral_layout());
 
   util::Rng rng(29);
-  const BigUInt a = BigUInt::random_bits(rng, 1024);
+  const BigUInt a = BigUInt::random_bits(rng, 200);
   ssa::ConcurrentSpectrumCache cache;
   u64 transforms = 0;
   const auto forward = [&](const BigUInt&) {
@@ -356,10 +283,11 @@ TEST(SsaFourStep, SpectrumCacheSeparatesLayouts) {
     return FpVec(four.transform_size, fp::kOne);
   };
   (void)cache.get_or_compute(a, four, forward);
-  (void)cache.get_or_compute(a, mono, forward);
+  (void)cache.get_or_compute(a, radix2, forward);
   EXPECT_EQ(transforms, 2u);  // layout mismatch => no cross-serving
   EXPECT_EQ(cache.size(), 2u);
   (void)cache.get_or_compute(a, four, forward);
+  (void)cache.get_or_compute(a, radix2, forward);
   EXPECT_EQ(transforms, 2u);  // same layout still hits
 }
 

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <future>
 #include <stdexcept>
 #include <thread>
@@ -196,92 +195,30 @@ TEST(Scheduler, HwLanesAccumulateModeledCycles) {
   EXPECT_EQ(cycles_after, cycles);
 }
 
-// ---- intra-op tiling (run_tiles) -----------------------------------------
-
-TEST(SchedulerTiles, NestedSubmissionCannotDeadlockAtOneLane) {
-  // The caller of run_tiles claims and executes tiles itself, so a job
-  // running on the only lane of a 1-lane scheduler -- and tiles that
-  // themselves run nested groups -- must complete without any other lane
-  // being free. A regression here hangs; the CTest timeout converts that
-  // into a failure, and the TSan matrix cell checks the synchronization.
-  Scheduler scheduler(config_for("classical", 1));
-  std::atomic<u64> inner_runs{0};
-  auto done = scheduler.submit([&](backend::MultiplierBackend&) {
-    scheduler.run_tiles(8, [&](u64) {
-      scheduler.run_tiles(4, [&](u64) { inner_runs.fetch_add(1); });
-    });
-    return BigUInt(1);
-  });
-  EXPECT_EQ(done.get(), BigUInt(1));
-  EXPECT_EQ(inner_runs.load(), 32u);
-
-  const SchedulerStats stats = scheduler.stats();
-  EXPECT_EQ(stats.tile_groups, 1u + 8u);
-  EXPECT_EQ(stats.tiles_executed, 8u + 32u);
-}
-
-TEST(SchedulerTiles, EveryTileRunsExactlyOnceAcrossLanes) {
+TEST(Scheduler, StatsCountEveryJobWhoseFutureIsReady) {
+  // A lane books a job (jobs, completed, busy_ms) before fulfilling its
+  // promise, so stats() read right after future.get() -- with no
+  // wait_idle() -- always counts that job, on the value and the
+  // exception path alike.
   Scheduler scheduler(config_for("classical", 4));
-  constexpr u64 kTiles = 64;
-  std::vector<std::atomic<u64>> runs(kTiles);
-  // External (non-lane) caller: the calling thread participates alongside
-  // the helper tasks the group fans out to the lanes.
-  scheduler.run_tiles(kTiles, [&](u64 i) { runs[i].fetch_add(1); });
-  for (u64 i = 0; i < kTiles; ++i) EXPECT_EQ(runs[i].load(), 1u) << "tile " << i;
-
-  const SchedulerStats stats = scheduler.stats();
-  EXPECT_EQ(stats.tile_groups, 1u);
-  EXPECT_EQ(stats.tiles_executed, kTiles);
-}
-
-TEST(SchedulerTiles, HelpersDoNotPerturbJobCounters) {
-  // Tile-helper tasks ride the job queue but submitted/completed/jobs
-  // describe the caller-visible workload only.
-  Scheduler scheduler(config_for("classical", 3));
-  constexpr u64 kJobs = 6;
-  std::vector<std::future<BigUInt>> futures;
-  std::atomic<u64> tiles_run{0};
-  for (u64 j = 0; j < kJobs; ++j) {
-    futures.push_back(scheduler.submit([&](backend::MultiplierBackend&) {
-      scheduler.run_tiles(16, [&](u64) { tiles_run.fetch_add(1); });
-      return BigUInt(0);
-    }));
+  constexpr u64 kRounds = 5000;
+  for (u64 i = 1; i <= kRounds; ++i) {
+    std::future<BigUInt> future = scheduler.submit([i](backend::MultiplierBackend&) {
+      if (i % 16 == 0) throw std::runtime_error("failing job");
+      return BigUInt{i};
+    });
+    if (i % 16 == 0) {
+      EXPECT_THROW((void)future.get(), std::runtime_error);
+    } else {
+      EXPECT_EQ(future.get(), BigUInt{i});
+    }
+    const SchedulerStats stats = scheduler.stats();
+    ASSERT_EQ(stats.submitted, i);
+    ASSERT_EQ(stats.completed, i) << "round " << i;
+    u64 lane_jobs = 0;
+    for (const LaneStats& lane : stats.lanes) lane_jobs += lane.jobs;
+    ASSERT_EQ(lane_jobs, i) << "round " << i;
   }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(tiles_run.load(), kJobs * 16);
-
-  const SchedulerStats stats = scheduler.stats();
-  EXPECT_EQ(stats.submitted, kJobs);
-  EXPECT_EQ(stats.completed, kJobs);
-  u64 lane_jobs = 0, lane_tiles = 0;
-  for (const LaneStats& lane : stats.lanes) {
-    lane_jobs += lane.jobs;
-    lane_tiles += lane.tiles;
-  }
-  EXPECT_EQ(lane_jobs, kJobs);
-  // Every tile ran on a lane thread (callers are lanes, helpers are
-  // lanes), so the per-lane attribution covers the group totals exactly.
-  EXPECT_EQ(stats.tiles_executed, kJobs * 16);
-  EXPECT_EQ(lane_tiles, stats.tiles_executed);
-}
-
-TEST(SchedulerTiles, TileExceptionRethrownOnCaller) {
-  Scheduler scheduler(config_for("classical", 2));
-  EXPECT_THROW(scheduler.run_tiles(8,
-                                   [&](u64 i) {
-                                     if (i == 3) throw std::runtime_error("tile failed");
-                                   }),
-               std::runtime_error);
-  // The group drained despite the exception; the scheduler stays usable.
-  std::atomic<u64> runs{0};
-  scheduler.run_tiles(4, [&](u64) { runs.fetch_add(1); });
-  EXPECT_EQ(runs.load(), 4u);
-}
-
-TEST(SchedulerTiles, ZeroTilesIsANoOp) {
-  Scheduler scheduler(config_for("classical", 1));
-  scheduler.run_tiles(0, [&](u64) { FAIL() << "tile ran for an empty group"; });
-  EXPECT_EQ(scheduler.stats().tile_groups, 0u);
 }
 
 TEST(Config, NumWorkersResolution) {

@@ -22,7 +22,7 @@ TEST(SsaParams, PaperConfiguration) {
   EXPECT_EQ(p.coeff_bits, 24u);
   EXPECT_EQ(p.num_coeffs, 32768u);
   EXPECT_EQ(p.transform_size, 65536u);
-  EXPECT_EQ(p.plan.describe(), "64*64*16");
+  EXPECT_TRUE(p.use_four_step());
   EXPECT_EQ(p.max_operand_bits(), 786432u);
 }
 
@@ -107,19 +107,16 @@ TEST(CarryRecover, HandlesLargeOverlappingCoefficients) {
   EXPECT_EQ(carry_recover(coeffs, 24), expected);
 }
 
-// Multiplication correctness across sizes and engines.
-struct SsaCase {
-  std::size_t bits;
-  Engine engine;
-};
-
-class SsaMultiply : public ::testing::TestWithParam<SsaCase> {};
+// Multiplication correctness across sizes: 100 and 416 bits run the
+// radix-2 transform (16 and 32 points), 417 bits and up the four-step one
+// (64 points and up).
+class SsaMultiply : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SsaMultiply, MatchesSchoolbook) {
-  const auto [bits, engine] = GetParam();
+  const std::size_t bits = GetParam();
   util::Rng rng(bits);
-  SsaParams params = SsaParams::for_bits(bits);
-  params.engine = engine;
+  const SsaParams params = SsaParams::for_bits(bits);
+  EXPECT_EQ(params.use_four_step(), params.transform_size >= kFourStepMinTransform);
   for (int i = 0; i < 3; ++i) {
     const BigUInt a = BigUInt::random_bits(rng, bits);
     const BigUInt b = BigUInt::random_bits(rng, bits);
@@ -127,13 +124,8 @@ TEST_P(SsaMultiply, MatchesSchoolbook) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sizes, SsaMultiply,
-    ::testing::Values(SsaCase{100, Engine::kRadix2Fast}, SsaCase{100, Engine::kMixedRadix},
-                      SsaCase{1000, Engine::kRadix2Fast}, SsaCase{1000, Engine::kMixedRadix},
-                      SsaCase{4096, Engine::kRadix2Fast}, SsaCase{4096, Engine::kMixedRadix},
-                      SsaCase{10000, Engine::kRadix2Fast},
-                      SsaCase{30000, Engine::kRadix2Fast}));
+INSTANTIATE_TEST_SUITE_P(Sizes, SsaMultiply,
+                         ::testing::Values(100, 416, 417, 1000, 4096, 10000, 30000));
 
 TEST(SsaMultiply, EdgeValues) {
   const SsaParams p = SsaParams::for_bits(1000);
@@ -148,10 +140,9 @@ TEST(SsaMultiply, EdgeValues) {
 
 TEST(SsaMultiply, PaperSizeFullMultiplication) {
   // The headline workload: two 786,432-bit operands through the paper's
-  // exact parameterization (m=24, 64K-point transform, plan 64*64*16 on the
-  // fast engine), validated against Karatsuba.
-  SsaParams params = SsaParams::paper();
-  params.engine = Engine::kRadix2Fast;
+  // exact parameterization (m=24, 64K-point four-step transform),
+  // validated against Karatsuba.
+  const SsaParams params = SsaParams::paper();
   util::Rng rng(786432);
   const BigUInt a = BigUInt::random_bits(rng, 786432);
   const BigUInt b = BigUInt::random_bits(rng, 786432);
@@ -165,16 +156,6 @@ TEST(SsaMultiply, PaperSizeFullMultiplication) {
   EXPECT_EQ(stats.transform_count, 3u);     // two forward + one inverse
 }
 
-TEST(SsaMultiply, MixedRadixEngineAgreesWithFastEngine) {
-  util::Rng rng(60);
-  const BigUInt a = BigUInt::random_bits(rng, 5000);
-  const BigUInt b = BigUInt::random_bits(rng, 5000);
-  SsaParams fast = SsaParams::for_bits(5000);
-  SsaParams mixed = fast;
-  mixed.engine = Engine::kMixedRadix;
-  EXPECT_EQ(multiply(a, b, fast), multiply(a, b, mixed));
-}
-
 TEST(SsaMultiply, AutoWrapperPicksWorkingParams) {
   util::Rng rng(61);
   const BigUInt a = BigUInt::random_bits(rng, 2500);
@@ -183,16 +164,14 @@ TEST(SsaMultiply, AutoWrapperPicksWorkingParams) {
   EXPECT_EQ(mul_ssa(BigUInt{}, a), BigUInt{});
 }
 
-TEST(SsaSquare, MatchesMultiplyBothEngines) {
+TEST(SsaSquare, MatchesSchoolbookOnBothEngines) {
+  // 100 and 416 bits square through the radix-2 transform, the rest
+  // through the four-step one.
   util::Rng rng(70);
-  for (const std::size_t bits : {500u, 3000u, 20000u}) {
+  for (const std::size_t bits : {100u, 416u, 500u, 3000u, 20000u}) {
     const BigUInt a = BigUInt::random_bits(rng, bits);
-    SsaParams fast = SsaParams::for_bits(bits);
-    SsaParams mixed = fast;
-    mixed.engine = Engine::kMixedRadix;
-    const BigUInt expected = bigint::mul_schoolbook(a, a);
-    EXPECT_EQ(square(a, fast), expected) << bits;
-    EXPECT_EQ(square(a, mixed), expected) << bits;
+    const SsaParams params = SsaParams::for_bits(bits);
+    EXPECT_EQ(square(a, params), bigint::mul_schoolbook(a, a)) << bits;
   }
 }
 
@@ -267,38 +246,20 @@ TEST(SsaStatsAccounting, BatchTransformCountReflectsCacheHits) {
   }
 }
 
-TEST(SpectrumCacheKeying, EnginesNeverShareSpectra) {
-  // The two engines store layout-incompatible spectra (engine order vs
-  // natural order) at identical packing geometry: a shared cache must key
-  // on the engine, or a cross-engine hit silently corrupts the product.
-  util::Rng rng(83);
-  const BigUInt a = BigUInt::random_bits(rng, 5000);
-  const BigUInt b = BigUInt::random_bits(rng, 5000);
-  SsaParams fast = SsaParams::for_bits(5000);
-  SsaParams mixed = fast;
-  mixed.engine = Engine::kMixedRadix;
-  const BigUInt expected = bigint::mul_schoolbook(a, b);
-
-  ConcurrentSpectrumCache cache;
-  Workspace workspace;
-  EXPECT_EQ(multiply_cached(a, b, fast, cache, workspace, nullptr), expected);
-  EXPECT_EQ(multiply_cached(a, b, mixed, cache, workspace, nullptr), expected);
-  EXPECT_EQ(cache.size(), 4u);  // two operands x two engines, no sharing
-}
-
 TEST(SpectrumDomain, LazyBoundTrackingSurvivesAdversarialAccumulation) {
   // All-ones operands pin every packed coefficient at 2^m - 1, the worst
   // case for the lazy coefficient bound. With kResidentHeadroomBits of
   // headroom the domain must accept a deep stack of pointwise-accumulated
   // products, refuse exactly when the tracked bound would reach p, and
-  // materialize the exact integer sum from the redundant spectrum.
-  for (const Engine engine : {Engine::kRadix2Fast, Engine::kMixedRadix}) {
-    SsaParams params = SsaParams::for_bits(1024, kResidentHeadroomBits);
-    params.engine = engine;
+  // materialize the exact integer sum from the redundant spectrum. 416 bits
+  // run the radix-2 transform (32 points), 1024 bits the four-step one.
+  for (const std::size_t bits : {416u, 1024u}) {
+    const SsaParams params = SsaParams::for_bits(bits, kResidentHeadroomBits);
+    EXPECT_EQ(params.use_four_step(), bits == 1024u);
     Workspace workspace;
     const SpectrumDomain domain(params, workspace);
 
-    const BigUInt ones = BigUInt::pow2(1024) - BigUInt(1);
+    const BigUInt ones = BigUInt::pow2(bits) - BigUInt(1);
     ResidentSpectrum sa, sb;
     domain.enter(sa, ones);
     domain.enter(sb, ones);
@@ -330,7 +291,7 @@ TEST(SpectrumDomain, LazyBoundTrackingSurvivesAdversarialAccumulation) {
     for (u64 k = 0; k < accumulated; ++k) expected += one_product;
     BigUInt materialized;
     domain.leave(materialized, acc);
-    EXPECT_EQ(materialized, expected) << "engine " << static_cast<int>(engine);
+    EXPECT_EQ(materialized, expected) << bits << " bits";
   }
 }
 

@@ -106,60 +106,38 @@ TEST_F(SsaAllocationAudit, SteadyStateSquareIntoIsAllocationFree) {
   EXPECT_EQ(product, bigint::mul_karatsuba(a, a));
 }
 
-TEST_F(SsaAllocationAudit, FourStepPathIsAllocationFree) {
-  // The cache-blocked four-step transform keeps all scratch (including the
-  // corner-turn buffer) inside the Workspace: the serial tiled path must be
-  // just as allocation-free as the monolithic sweep it replaces.
+TEST_F(SsaAllocationAudit, BothTransformPathsAreAllocationFree) {
+  // 416 bits run the radix-2 transform (32 points); 20000 bits the
+  // cache-blocked four-step one, which keeps its corner-turn buffer inside
+  // the Workspace and must be just as allocation-free.
   util::Rng rng(5);
-  const std::size_t bits = 20000;
-  const BigUInt a = BigUInt::random_bits(rng, bits);
-  const BigUInt b = BigUInt::random_bits(rng, bits);
-  SsaParams params = SsaParams::for_bits(bits);
-  params.four_step = FourStepMode::kAlways;
-  ASSERT_TRUE(params.use_four_step());
+  for (const std::size_t bits : {416u, 20000u}) {
+    const BigUInt a = BigUInt::random_bits(rng, bits);
+    const BigUInt b = BigUInt::random_bits(rng, bits);
+    const SsaParams params = SsaParams::for_bits(bits);
+    ASSERT_EQ(params.use_four_step(), bits == 20000u);
 
-  Workspace workspace;
-  BigUInt product;
-  multiply_into(product, a, b, params, workspace);
-  multiply_into(product, a, b, params, workspace);
+    Workspace workspace;
+    BigUInt product;
+    multiply_into(product, a, b, params, workspace);
+    multiply_into(product, a, b, params, workspace);
 
-  for (int round = 0; round < 5; ++round) {
-    const u64 allocs = allocations_in([&] {
-      multiply_into(product, a, b, params, workspace);
-    });
-    EXPECT_EQ(allocs, 0u) << "round " << round;
+    for (int round = 0; round < 5; ++round) {
+      const u64 allocs = allocations_in([&] {
+        multiply_into(product, a, b, params, workspace);
+      });
+      EXPECT_EQ(allocs, 0u) << bits << " bits, round " << round;
+    }
+    EXPECT_EQ(product, bigint::mul_karatsuba(a, b)) << bits;
+
+    // Squaring shares the same scratch discipline.
+    square_into(product, a, params, workspace);
+    for (int round = 0; round < 5; ++round) {
+      const u64 allocs = allocations_in([&] { square_into(product, a, params, workspace); });
+      EXPECT_EQ(allocs, 0u) << bits << " bits, square round " << round;
+    }
+    EXPECT_EQ(product, bigint::mul_karatsuba(a, a)) << bits;
   }
-  EXPECT_EQ(product, bigint::mul_karatsuba(a, b));
-
-  // Squaring shares the same scratch discipline.
-  square_into(product, a, params, workspace);
-  for (int round = 0; round < 5; ++round) {
-    const u64 allocs = allocations_in([&] { square_into(product, a, params, workspace); });
-    EXPECT_EQ(allocs, 0u) << "square round " << round;
-  }
-  EXPECT_EQ(product, bigint::mul_karatsuba(a, a));
-}
-
-TEST_F(SsaAllocationAudit, MixedRadixEngineIsAlsoAllocationFree) {
-  util::Rng rng(3);
-  const std::size_t bits = 20000;
-  const BigUInt a = BigUInt::random_bits(rng, bits);
-  const BigUInt b = BigUInt::random_bits(rng, bits);
-  SsaParams params = SsaParams::for_bits(bits);
-  params.engine = Engine::kMixedRadix;
-
-  Workspace workspace;
-  BigUInt product;
-  multiply_into(product, a, b, params, workspace);
-  multiply_into(product, a, b, params, workspace);
-
-  for (int round = 0; round < 3; ++round) {
-    const u64 allocs = allocations_in([&] {
-      multiply_into(product, a, b, params, workspace);
-    });
-    EXPECT_EQ(allocs, 0u) << "round " << round;
-  }
-  EXPECT_EQ(product, bigint::mul_karatsuba(a, b));
 }
 
 TEST_F(SsaAllocationAudit, ResidentSpectrumSteadyStateIsAllocationFree) {
