@@ -1,9 +1,10 @@
 // Experiment C1: eager gate-at-a-time vs lazy wavefront circuit evaluation,
 // under both word-op lowering strategies.
 //
-// fhe::Circuits evaluates a homomorphic circuit eagerly: every AND gate is
-// one engine invocation issued the moment the circuit code reaches it, so
-// the ripple-carry chain serializes the whole computation. The circuit-graph
+// The gate-at-a-time reference (fhe::ReferenceBuilder) evaluates a
+// homomorphic circuit eagerly: every AND gate is one engine invocation
+// issued the moment the circuit code reaches it, so the ripple-carry chain
+// serializes the whole computation. The circuit-graph
 // IR (fhe::Graph + fhe::Evaluator) records the same circuit first, levels it
 // by multiplicative depth, and issues each level -- a wavefront of mutually
 // independent AND gates -- as ONE batch across the scheduler's PE lanes,
@@ -14,7 +15,7 @@
 // 4-bit schoolbook multiplier, each lowered both ways -- ripple-carry
 // (serial chains) and carry-save (Wallace reduction + Sklansky resolve).
 // Every arm is checked bit-for-bit: the wavefront evaluation must reproduce
-// the eager ciphertexts exactly, and the wavefront count must be strictly
+// the reference ciphertexts exactly, and the wavefront count must be strictly
 // below the AND-gate count (real cross-gate batching, not one batch per
 // gate). Each circuit also reports its predicted AND-depth (the NoiseModel
 // runs the same lowering templates, so prediction == recorded depth) and
@@ -33,10 +34,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "backend/registry.hpp"
 #include "backend/ssa_backend.hpp"
 #include "core/scheduler.hpp"
 #include "fhe/circuits.hpp"
@@ -54,6 +56,21 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
+/// The eager arm: the gate-at-a-time reference, counting its AND gates.
+struct EagerArm {
+  using WireType = fhe::Ciphertext;
+  fhe::ReferenceBuilder reference;
+  u64 and_gates = 0;
+
+  fhe::Ciphertext gate_xor(const fhe::Ciphertext& a, const fhe::Ciphertext& b) const {
+    return reference.gate_xor(a, b);
+  }
+  fhe::Ciphertext gate_and(const fhe::Ciphertext& a, const fhe::Ciphertext& b) {
+    ++and_gates;
+    return reference.gate_and(a, b);
+  }
+};
+
 /// Mid-size noise budget: deep enough that the 8-bit adder stays
 /// decryptable (the toy budget is marginal at 8 bits), small enough that
 /// every AND is a fast 8192-bit product.
@@ -70,13 +87,13 @@ fhe::DghvParams bench_params() {
 struct CircuitResult {
   std::string name;
   u64 and_gates = 0;       ///< executed by the wavefront evaluator
-  u64 eager_and_gates = 0; ///< executed by the eager facade
+  u64 eager_and_gates = 0; ///< executed by the gate-at-a-time reference
   std::size_t wavefronts = 0;
   std::size_t dead_nodes = 0;
   unsigned predicted_depth = 0;  ///< NoiseModel prediction for this lowering
   double eager_ms = 0.0;
   double wavefront_ms = 0.0;
-  bool match = false;       ///< wavefront ciphertexts == eager ciphertexts
+  bool match = false;       ///< wavefront ciphertexts == reference ciphertexts
   bool decrypt_ok = false;  ///< wavefront decryption == eager decryption
   fhe::EvalReport report;
 
@@ -166,16 +183,18 @@ int main(int argc, char** argv) {
     fhe::EncryptedInt cx = fhe::encrypt_int(scheme, x, 8);
     fhe::EncryptedInt cy = fhe::encrypt_int(scheme, y, 8);
 
-    // Eager arm: gate-at-a-time through the facade.
-    auto eager_engine = backend::make_backend("ssa");
-    fhe::Circuits eager(scheme, eager_engine, lowering);
+    // Eager arm: gate-at-a-time through the reference builder on a fresh
+    // "ssa" engine, whose counters give the eager transform tally.
+    const auto eager_engine = std::make_shared<backend::SsaBackend>();
+    scheme.set_backend(eager_engine);
+    EagerArm eager{{&scheme}};
     const auto t0 = Clock::now();
-    const fhe::Circuits::AdderResult eager_sum = eager.add(cx, cy, enc_zero);
+    const fhe::lowering::AddOut<EagerArm> eager_sum = fhe::lowering::lower_add(
+        eager, std::span<const fhe::Ciphertext>(cx), std::span<const fhe::Ciphertext>(cy),
+        enc_zero, lowering);
     r.eager_ms = ms_since(t0);
-    r.eager_and_gates = eager.and_gates_used();
-    if (auto* ssa = dynamic_cast<backend::SsaBackend*>(eager_engine.get())) {
-      r.eager_transforms = ssa->stats().transform_count;
-    }
+    r.eager_and_gates = eager.and_gates;
+    r.eager_transforms = eager_engine->stats().transform_count;
 
     // Wavefront arm: record, level, batch.
     fhe::Graph graph(scheme, lowering);
@@ -218,15 +237,16 @@ int main(int argc, char** argv) {
     fhe::EncryptedInt cx = fhe::encrypt_int(scheme, x, 4);
     fhe::EncryptedInt cy = fhe::encrypt_int(scheme, y, 4);
 
-    auto eager_engine = backend::make_backend("ssa");
-    fhe::Circuits eager(scheme, eager_engine, lowering);
+    const auto eager_engine = std::make_shared<backend::SsaBackend>();
+    scheme.set_backend(eager_engine);
+    EagerArm eager{{&scheme}};
     const auto t0 = Clock::now();
-    const fhe::EncryptedInt eager_prod = eager.multiply(cx, cy, enc_zero);
+    const std::vector<fhe::Ciphertext> eager_prod = fhe::lowering::lower_multiply(
+        eager, std::span<const fhe::Ciphertext>(cx), std::span<const fhe::Ciphertext>(cy),
+        enc_zero, lowering);
     r.eager_ms = ms_since(t0);
-    r.eager_and_gates = eager.and_gates_used();
-    if (auto* ssa = dynamic_cast<backend::SsaBackend*>(eager_engine.get())) {
-      r.eager_transforms = ssa->stats().transform_count;
-    }
+    r.eager_and_gates = eager.and_gates;
+    r.eager_transforms = eager_engine->stats().transform_count;
 
     fhe::Graph graph(scheme, lowering);
     const std::vector<fhe::Wire> wx = graph.inputs(cx);
@@ -238,7 +258,7 @@ int main(int argc, char** argv) {
     fhe::EvalOptions options;
     // The stacked adders of the 4x4 product exceed any practical noise
     // budget; this bench checks bit-for-bit parity, so run past the veto
-    // the way the eager facade does.
+    // the way the gate-at-a-time reference does.
     options.check_noise = false;
     const auto t1 = Clock::now();
     const std::vector<fhe::Ciphertext> wave =

@@ -1,8 +1,8 @@
 // encrypted_adder: word-level homomorphic computation with the lazy
 // circuit-graph IR -- a ripple-carry adder and an equality check over
 // encrypted 4-bit integers are *recorded* as one fhe::Graph, audited for
-// noise before anything runs, then wavefront-evaluated through
-// core::Accelerator::evaluate, counting how many accelerator
+// noise before anything runs, then wavefront-evaluated by an
+// fhe::Evaluator on the accelerator's PE lanes, counting how many accelerator
 // multiplications the server spends (the paper's cost unit: one AND = one
 // 786,432-bit product).
 
@@ -10,6 +10,7 @@
 
 #include "core/accelerator.hpp"
 #include "fhe/circuits.hpp"
+#include "fhe/evaluator.hpp"
 #include "fhe/graph.hpp"
 
 int main() {
@@ -53,8 +54,9 @@ int main() {
   config.backend_name = "ssa";
   config.num_workers = 2;
   core::Accelerator accel(config);
+  fhe::Evaluator evaluator(accel.scheduler());
   fhe::EvalReport report;
-  const std::vector<fhe::Ciphertext> results = accel.evaluate(graph, outputs, &report);
+  const std::vector<fhe::Ciphertext> results = evaluator.evaluate(graph, outputs, &report);
 
   const fhe::EncryptedInt enc_sum(results.begin(), results.begin() + 4);
   const u64 decrypted =

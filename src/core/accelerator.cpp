@@ -43,14 +43,6 @@ std::vector<std::future<bigint::BigUInt>> Accelerator::submit_batch(
   return scheduler().submit_batch(jobs);
 }
 
-std::vector<fhe::Ciphertext> Accelerator::evaluate(const fhe::Graph& graph,
-                                                   std::span<const fhe::Wire> outputs,
-                                                   fhe::EvalReport* report,
-                                                   const fhe::EvalOptions& options) {
-  fhe::Evaluator evaluator(scheduler());
-  return evaluator.evaluate(graph, outputs, report, options);
-}
-
 MultiplyResult Accelerator::multiply(const bigint::BigUInt& a, const bigint::BigUInt& b) {
   MultiplyResult result;
 

@@ -8,7 +8,6 @@
 
 #include "backend/backend.hpp"
 #include "core/config.hpp"
-#include "fhe/evaluator.hpp"
 #include "hw/perf/perf_model.hpp"
 #include "hw/resources/report.hpp"
 
@@ -79,17 +78,6 @@ class Accelerator {
   /// submit_batch (lane creation is not thread-safe; first call from one
   /// thread, then submit from anywhere).
   Scheduler& scheduler();
-
-  /// Wavefront-evaluates a recorded homomorphic circuit: independent AND
-  /// gates at each multiplicative depth are issued as one batch across the
-  /// scheduler's PE lanes (config().num_workers, created on first use).
-  /// Dead nodes are eliminated and the NoiseModel decryptability check
-  /// runs before execution (see fhe::EvalOptions). Returns one ciphertext
-  /// per requested output wire, in order.
-  std::vector<fhe::Ciphertext> evaluate(const fhe::Graph& graph,
-                                        std::span<const fhe::Wire> outputs,
-                                        fhe::EvalReport* report = nullptr,
-                                        const fhe::EvalOptions& options = {});
 
   /// Forward / inverse 64K-point NTT on the simulated hardware.
   fp::FpVec ntt_forward(const fp::FpVec& data, hw::NttRunReport* report = nullptr);

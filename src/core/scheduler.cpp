@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 
 #include "backend/hw_backend.hpp"
@@ -97,16 +96,16 @@ void Scheduler::worker_loop(unsigned lane) {
   }
 }
 
-template <typename T, typename Compute>
-std::future<T> Scheduler::enqueue_job(Compute compute) {
-  auto promise = std::make_shared<std::promise<T>>();
-  std::future<T> future = promise->get_future();
-  Task task = [compute = std::move(compute), promise](backend::MultiplierBackend& backend,
-                                                      const std::function<void()>& book) {
-    std::optional<T> value;
+std::future<BigUInt> Scheduler::submit(Job job) {
+  HEMUL_CHECK_MSG(job != nullptr, "Scheduler::submit: empty job");
+  auto promise = std::make_shared<std::promise<BigUInt>>();
+  std::future<BigUInt> future = promise->get_future();
+  Task task = [job = std::move(job), promise](backend::MultiplierBackend& backend,
+                                              const std::function<void()>& book) {
+    std::optional<BigUInt> value;
     std::exception_ptr error;
     try {
-      value.emplace(compute(backend));
+      value.emplace(job(backend));
     } catch (...) {
       error = std::current_exception();
     }
@@ -127,50 +126,8 @@ std::future<T> Scheduler::enqueue_job(Compute compute) {
   return future;
 }
 
-std::future<BigUInt> Scheduler::submit(Job job) {
-  HEMUL_CHECK_MSG(job != nullptr, "Scheduler::submit: empty job");
-  return enqueue_job<BigUInt>(std::move(job));
-}
-
 bool Scheduler::lanes_support_spectra() const {
   return config_.resolved_backend_name() == "ssa";
-}
-
-namespace {
-
-/// Lane backend as an SsaBackend; throws std::logic_error for lanes that
-/// cannot speak spectrum handles.
-backend::SsaBackend& lane_ssa(backend::MultiplierBackend& backend) {
-  auto* ssa_backend = dynamic_cast<backend::SsaBackend*>(&backend);
-  if (ssa_backend == nullptr) throw std::logic_error("spectrum job submitted to a non-ssa lane");
-  return *ssa_backend;
-}
-
-}  // namespace
-
-std::future<ssa::SpectrumHandle> Scheduler::submit_spectrum_forward(BigUInt value,
-                                                                    ssa::SsaParams params) {
-  return enqueue_job<ssa::SpectrumHandle>(
-      [value = std::move(value), params](backend::MultiplierBackend& backend) {
-        return lane_ssa(backend).forward_spectrum(value, params);
-      });
-}
-
-std::future<ssa::SpectrumHandle> Scheduler::submit_spectrum_multiply(ssa::SpectrumHandle a,
-                                                                     ssa::SpectrumHandle b,
-                                                                     ssa::SsaParams params) {
-  return enqueue_job<ssa::SpectrumHandle>(
-      [a = std::move(a), b = std::move(b), params](backend::MultiplierBackend& backend) {
-        return lane_ssa(backend).multiply_spectra(a, b, params);
-      });
-}
-
-std::future<BigUInt> Scheduler::submit_spectrum_materialize(ssa::SpectrumHandle spectrum,
-                                                            ssa::SsaParams params) {
-  return enqueue_job<BigUInt>(
-      [spectrum = std::move(spectrum), params](backend::MultiplierBackend& backend) {
-        return lane_ssa(backend).materialize_spectrum(*spectrum, params);
-      });
 }
 
 std::future<BigUInt> Scheduler::submit_multiply(BigUInt a, BigUInt b) {

@@ -93,28 +93,10 @@ class Scheduler {
   /// Enqueues every job of the batch; futures are in job order.
   std::vector<std::future<bigint::BigUInt>> submit_batch(std::span<const backend::MulJob> jobs);
 
-  // ---- spectrum-resident job forms -----------------------------------
-  // Only meaningful when lanes_support_spectra(): the lanes' SsaBackends
-  // split the 3-transform multiply into its phases so the evaluator can
-  // keep wires in the NTT domain across wavefronts. Submitting these to
-  // non-"ssa" lanes fails the future with std::logic_error.
-
   /// True iff every lane runs the software SSA engine (the only backend
-  /// that speaks spectrum handles).
+  /// that speaks spectrum handles, so fhe::step_level may keep wires in the
+  /// NTT domain across levels on these lanes).
   [[nodiscard]] bool lanes_support_spectra() const;
-
-  /// Enqueues one forward transform: value -> operand spectrum.
-  std::future<ssa::SpectrumHandle> submit_spectrum_forward(bigint::BigUInt value,
-                                                           ssa::SsaParams params);
-
-  /// Enqueues one pointwise product of two operand spectra.
-  std::future<ssa::SpectrumHandle> submit_spectrum_multiply(ssa::SpectrumHandle a,
-                                                            ssa::SpectrumHandle b,
-                                                            ssa::SsaParams params);
-
-  /// Enqueues one inverse transform + carry recovery: spectrum -> integer.
-  std::future<bigint::BigUInt> submit_spectrum_materialize(ssa::SpectrumHandle spectrum,
-                                                           ssa::SsaParams params);
 
   /// Blocks until the queue is empty and every lane is idle.
   void wait_idle();
@@ -131,17 +113,10 @@ class Scheduler {
   [[nodiscard]] ssa::ConcurrentSpectrumCache& spectrum_cache() noexcept { return *cache_; }
 
  private:
-  /// Type-erased unit of work, run on a lane against its backend. The
-  /// runner computes the job, calls `book` (which records the job in the
-  /// lane's counters) and only then fulfils the job's promise, so one
-  /// queue carries integer jobs and spectrum jobs alike and the counters
-  /// never lag the futures.
+  /// A queued job, run on a lane against its backend: it computes the job,
+  /// calls `book` (which records the job in the lane's counters) and only
+  /// then fulfils the job's promise, so the counters never lag the futures.
   using Task = std::function<void(backend::MultiplierBackend&, const std::function<void()>& book)>;
-
-  /// Wraps `compute` (backend& -> T) in a Task reporting through a
-  /// promise, enqueues it and returns the future.
-  template <typename T, typename Compute>
-  std::future<T> enqueue_job(Compute compute);
 
   [[nodiscard]] std::shared_ptr<backend::MultiplierBackend> make_lane_backend();
   void worker_loop(unsigned lane);

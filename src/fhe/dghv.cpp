@@ -68,9 +68,11 @@ Ciphertext Dghv::add(const Ciphertext& a, const Ciphertext& b) const {
 }
 
 Ciphertext Dghv::multiply(const Ciphertext& a, const Ciphertext& b) const {
-  return {engine_->multiply(a.value, b.value) % pk_.x0,
+  return {reduce(engine_->multiply(a.value, b.value)),
           NoiseModel::after_mult(a.noise_bits, b.noise_bits)};
 }
+
+BigUInt Dghv::reduce(BigUInt product) const { return product % pk_.x0; }
 
 std::vector<Ciphertext> Dghv::multiply_batch(
     std::span<const std::pair<Ciphertext, Ciphertext>> jobs) const {
@@ -78,11 +80,11 @@ std::vector<Ciphertext> Dghv::multiply_batch(
   raw.reserve(jobs.size());
   for (const auto& [a, b] : jobs) raw.emplace_back(a.value, b.value);
 
-  const std::vector<BigUInt> products = engine_->multiply_batch(raw);
+  std::vector<BigUInt> products = engine_->multiply_batch(raw);
   std::vector<Ciphertext> out;
   out.reserve(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    out.push_back({products[i] % pk_.x0,
+    out.push_back({reduce(std::move(products[i])),
                    NoiseModel::after_mult(jobs[i].first.noise_bits, jobs[i].second.noise_bits)});
   }
   return out;

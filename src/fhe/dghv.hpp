@@ -72,6 +72,10 @@ class Dghv {
   /// Homomorphic AND: c1 * c2 (mod x0) -- the accelerator workload.
   [[nodiscard]] Ciphertext multiply(const Ciphertext& a, const Ciphertext& b) const;
 
+  /// The reduction step of a homomorphic AND: a raw product (or a sum of
+  /// raw products) modulo x0. Every executor reduces its products here.
+  [[nodiscard]] bigint::BigUInt reduce(bigint::BigUInt product) const;
+
   /// Batched homomorphic AND through the backend's spectrum-caching batch
   /// executor: N products against one repeated ciphertext cost N+1 forward
   /// transforms instead of 3N on NTT engines.

@@ -5,7 +5,9 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "backend/ssa_backend.hpp"
@@ -91,13 +93,8 @@ const std::vector<u32>& EvalState::wavefront(unsigned level) const {
   return wavefronts_[level];
 }
 
-backend::MulJob EvalState::gate_job(u32 id) const {
-  const auto [a, b] = graph_->operands(Wire{id});
-  return {values_[a.id].value, values_[b.id].value};
-}
-
 void EvalState::apply_product(u32 id, bigint::BigUInt product) {
-  values_[id] = {std::move(product) % graph_->scheme().public_key().x0,
+  values_[id] = {graph_->scheme().reduce(std::move(product)),
                  graph_->predicted_noise_bits(Wire{id})};
 }
 
@@ -284,8 +281,6 @@ void EvalState::enable_residency(const ssa::SsaParams& params,
   }
 }
 
-const bigint::BigUInt& EvalState::wire_value(u32 id) const { return values_[id].value; }
-
 std::vector<u32> EvalState::spectrum_plan(unsigned level) const {
   std::vector<u32> plan;
   for (const u32 id : wavefront(level)) {
@@ -354,7 +349,7 @@ ssa::SpectrumHandle EvalState::wire_spectrum(u32 id) const {
 
 void EvalState::apply_materialized(u32 id, bigint::BigUInt raw) {
   ++rstats_.inverse_transforms;
-  values_[id] = {std::move(raw) % graph_->scheme().public_key().x0,
+  values_[id] = {graph_->scheme().reduce(std::move(raw)),
                  graph_->predicted_noise_bits(Wire{id})};
 }
 
@@ -362,6 +357,152 @@ void EvalState::evict_spent_spectra(unsigned level) {
   if (level >= evict_operand_.size()) return;
   for (const u32 id : evict_operand_[level]) evict(id, 0);
   for (const u32 id : evict_spectrum_[level]) evict(id, 1);
+}
+
+// --- the level stepper -----------------------------------------------------
+
+LaneRunner scheduler_lanes(core::Scheduler& scheduler) {
+  return [&scheduler](std::size_t count, const LaneBody& body) {
+    std::vector<std::future<bigint::BigUInt>> futures;
+    futures.reserve(count);
+    for (std::size_t k = 0; k < count; ++k) {
+      try {
+        futures.push_back(scheduler.submit([&body, k](backend::MultiplierBackend& engine) {
+          body(k, engine);
+          return bigint::BigUInt{};
+        }));
+      } catch (...) {
+        for (auto& future : futures) future.wait();  // queued jobs still use `body`
+        throw;
+      }
+    }
+    for (auto& future : futures) future.get();
+  };
+}
+
+namespace {
+
+/// One lane task of a phase: the wire it computes and the state it serves.
+struct LaneItem {
+  EvalState* state;
+  u32 wire;
+  std::string* fault;  ///< the state's fault slot
+};
+
+/// Runs compute(item, engine) for every item as one round of lane tasks,
+/// then hands each result to install(item, result) unless the item's state
+/// has faulted (a state keeps its first fault). A throwing task leaves its
+/// message in its own slot, read only after the round drained (the futures
+/// publish the slots): a string, never an exception_ptr, because a
+/// rethrown exception's refcounted what()-string crossing threads is
+/// invisible to TSan inside libstdc++ and reads as a race.
+template <class Compute, class Install>
+void run_phase(const LaneRunner& run, const std::vector<LaneItem>& items, Compute compute,
+               Install install) {
+  if (items.empty()) return;
+  using Result = std::invoke_result_t<Compute&, const LaneItem&, backend::MultiplierBackend&>;
+  std::vector<Result> results(items.size());
+  std::vector<std::unique_ptr<std::string>> faults(items.size());
+  run(items.size(), [&](std::size_t k, backend::MultiplierBackend& engine) {
+    try {
+      results[k] = compute(items[k], engine);
+    } catch (const std::exception& e) {
+      // A fault is a non-empty message: EvalState::failed() tests for one.
+      faults[k] = std::make_unique<std::string>(*e.what() != '\0' ? e.what() : "lane error");
+    } catch (...) {
+      faults[k] = std::make_unique<std::string>("unknown lane error");
+    }
+  });
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    std::string& fault = *items[k].fault;
+    if (faults[k] != nullptr) {
+      if (fault.empty()) fault = std::move(*faults[k]);
+    } else if (fault.empty()) {
+      install(items[k], std::move(results[k]));
+    }
+  }
+}
+
+backend::SsaBackend& lane_ssa(backend::MultiplierBackend& engine) {
+  auto* ssa_engine = dynamic_cast<backend::SsaBackend*>(&engine);
+  HEMUL_CHECK_MSG(ssa_engine != nullptr, "spectrum-resident task on a non-ssa lane");
+  return *ssa_engine;
+}
+
+}  // namespace
+
+void step_level(std::span<EvalState* const> states, const LaneRunner& run) {
+  std::vector<EvalState*> stepping;
+  for (EvalState* state : states) {
+    if (!state->done() && !state->failed()) stepping.push_back(state);
+  }
+  // The lane tasks of one phase over every healthy state of one protocol.
+  const auto items = [&](bool resident, const auto& plan) {
+    std::vector<LaneItem> out;
+    for (EvalState* state : stepping) {
+      if (state->residency_ != resident || state->failed()) continue;
+      for (const u32 wire : plan(*state)) out.push_back({state, wire, &state->fault_});
+    }
+    return out;
+  };
+  const auto gates = [](const EvalState& s) -> const std::vector<u32>& {
+    return s.wavefront(s.next_level_);
+  };
+
+  // Resident protocol. Forward transforms of operand wires new to the domain.
+  run_phase(
+      run, items(true, [](const EvalState& s) { return s.spectrum_plan(s.next_level_); }),
+      [](const LaneItem& item, backend::MultiplierBackend& engine) {
+        return lane_ssa(engine).forward_spectrum(item.state->values_[item.wire].value,
+                                                 item.state->params_);
+      },
+      [](const LaneItem& item, ssa::SpectrumHandle spectrum) {
+        item.state->install_operand_spectrum(item.wire, std::move(spectrum));
+      });
+  // Every AND of the level as one pointwise product.
+  run_phase(
+      run, items(true, gates),
+      [](const LaneItem& item, backend::MultiplierBackend& engine) {
+        const auto [a, b] = item.state->graph_->operands(Wire{item.wire});
+        return lane_ssa(engine).multiply_spectra(item.state->operand_spectrum(a.id),
+                                                 item.state->operand_spectrum(b.id),
+                                                 item.state->params_);
+      },
+      [](const LaneItem& item, ssa::SpectrumHandle spectrum) {
+        item.state->install_product(item.wire, std::move(spectrum));
+      });
+  // XOR folds stay in the domain (coordinator-side O(N) additions).
+  for (EvalState* state : stepping) {
+    if (state->residency_ && !state->failed()) state->fold_linear(state->next_level_);
+  }
+  // One inverse per wire whose value leaves the domain.
+  run_phase(
+      run, items(true, [](const EvalState& s) { return s.materialize_plan(s.next_level_); }),
+      [](const LaneItem& item, backend::MultiplierBackend& engine) {
+        return lane_ssa(engine).materialize_spectrum(*item.state->wire_spectrum(item.wire),
+                                                     item.state->params_);
+      },
+      [](const LaneItem& item, bigint::BigUInt raw) {
+        item.state->apply_materialized(item.wire, std::move(raw));
+      });
+
+  // Eager protocol: one product per AND gate.
+  run_phase(
+      run, items(false, gates),
+      [](const LaneItem& item, backend::MultiplierBackend& engine) {
+        const auto [a, b] = item.state->graph_->operands(Wire{item.wire});
+        return engine.multiply(item.state->values_[a.id].value, item.state->values_[b.id].value);
+      },
+      [](const LaneItem& item, bigint::BigUInt product) {
+        item.state->apply_product(item.wire, std::move(product));
+      });
+
+  for (EvalState* state : stepping) {
+    if (state->failed()) continue;
+    state->sweep_linear(state->next_level_);
+    state->evict_spent_spectra(state->next_level_);
+    ++state->next_level_;
+  }
 }
 
 // --- Evaluator -------------------------------------------------------------
@@ -396,19 +537,17 @@ std::vector<Ciphertext> Evaluator::evaluate(const Graph& graph,
     report->wavefronts.reserve(state.max_level());
   }
 
-  std::shared_ptr<backend::MultiplierBackend> engine = engine_;
-  if (scheduler_ == nullptr && engine == nullptr) engine = scheme.engine();
-
   // Spectrum residency: when every execution lane speaks spectrum handles
   // (the software SSA engine), wires stay in the NTT domain across levels
   // -- one forward per distinct operand wire, one pointwise product per
   // AND, XOR folds as pointwise additions, one inverse only per wire whose
   // value is consumed outside the domain. Any other engine (hw model,
   // classical bigint, injected test backends) keeps the eager protocol.
-  backend::SsaBackend* resident_engine =
-      engine != nullptr ? dynamic_cast<backend::SsaBackend*>(engine.get()) : nullptr;
-  const bool resident =
-      scheduler_ != nullptr ? scheduler_->lanes_support_spectra() : resident_engine != nullptr;
+  const std::shared_ptr<backend::MultiplierBackend> engine =
+      engine_ != nullptr ? engine_ : scheme.engine();
+  const bool resident = scheduler_ != nullptr
+                            ? scheduler_->lanes_support_spectra()
+                            : dynamic_cast<backend::SsaBackend*>(engine.get()) != nullptr;
   if (resident) {
     state.enable_residency(ssa::SsaParams::for_bits(scheme.public_key().x0.bit_length(),
                                                     ssa::kResidentHeadroomBits),
@@ -416,165 +555,61 @@ std::vector<Ciphertext> Evaluator::evaluate(const Graph& graph,
   }
   if (report != nullptr) report->spectrum_resident = resident;
 
-  for (unsigned level = 1; level <= state.max_level(); ++level) {
-    const std::vector<u32>& gates = state.wavefront(level);
+  const LaneRunner run =
+      scheduler_ != nullptr ? scheduler_lanes(*scheduler_)
+                            : LaneRunner([&engine](std::size_t count, const LaneBody& body) {
+                                for (std::size_t k = 0; k < count; ++k) body(k, *engine);
+                              });
+  EvalState* const stepping[] = {&state};
+  // Per-wavefront lane/cache numbers are before/after deltas of the
+  // scheduler-wide stats (a lane books each job before its future is
+  // satisfied, so the delta is complete once the round drained). They are
+  // observability-only: collect them just when a report was asked for.
+  const bool collect_stats = report != nullptr && scheduler_ != nullptr;
+  while (!state.done()) {
     WavefrontStats wf;
-    wf.level = level;
-    wf.and_gates = gates.size();
+    wf.level = state.next_level();
+    wf.and_gates = state.wavefront(wf.level).size();
+    const ResidencyStats before_r = state.residency_stats();
+    core::SchedulerStats before;
+    if (collect_stats) before = scheduler_->stats();
 
     const auto t0 = Clock::now();
-    if (resident) {
-      const ResidencyStats before_r = state.residency_stats();
-      const bool collect_stats = report != nullptr && scheduler_ != nullptr;
-      core::SchedulerStats before;
-      if (collect_stats) before = scheduler_->stats();
-      const ssa::SsaParams& params = state.spectrum_params();
-
-      // Phase 1: forward transforms of operand wires new to the domain.
-      const std::vector<u32> forwards = state.spectrum_plan(level);
-      if (scheduler_ != nullptr) {
-        std::vector<std::future<ssa::SpectrumHandle>> futures;
-        futures.reserve(forwards.size());
-        for (const u32 w : forwards) {
-          futures.push_back(scheduler_->submit_spectrum_forward(state.wire_value(w), params));
-        }
-        for (std::size_t k = 0; k < forwards.size(); ++k) {
-          state.install_operand_spectrum(forwards[k], futures[k].get());
-        }
-      } else {
-        for (const u32 w : forwards) {
-          state.install_operand_spectrum(
-              w, resident_engine->forward_spectrum(state.wire_value(w), params));
-        }
-      }
-
-      // Phase 2: every AND of the wavefront as one pointwise product.
-      if (scheduler_ != nullptr) {
-        std::vector<std::future<ssa::SpectrumHandle>> futures;
-        futures.reserve(gates.size());
-        for (const u32 id : gates) {
-          const auto [a, b] = graph.operands(Wire{id});
-          futures.push_back(scheduler_->submit_spectrum_multiply(
-              state.operand_spectrum(a.id), state.operand_spectrum(b.id), params));
-        }
-        for (std::size_t k = 0; k < gates.size(); ++k) {
-          state.install_product(gates[k], futures[k].get());
-        }
-      } else {
-        for (const u32 id : gates) {
-          const auto [a, b] = graph.operands(Wire{id});
-          state.install_product(id, resident_engine->multiply_spectra(
-                                        state.operand_spectrum(a.id),
-                                        state.operand_spectrum(b.id), params));
-        }
-      }
-
-      // Phase 3: XOR folds stay in the domain (coordinator-side O(N) adds).
-      state.fold_linear(level);
-
-      // Phase 4: one inverse per wire actually leaving the domain.
-      const std::vector<u32> leaves = state.materialize_plan(level);
-      if (scheduler_ != nullptr) {
-        std::vector<std::future<bigint::BigUInt>> futures;
-        futures.reserve(leaves.size());
-        for (const u32 id : leaves) {
-          futures.push_back(
-              scheduler_->submit_spectrum_materialize(state.wire_spectrum(id), params));
-        }
-        for (std::size_t k = 0; k < leaves.size(); ++k) {
-          state.apply_materialized(leaves[k], futures[k].get());
-        }
-      } else {
-        for (const u32 id : leaves) {
-          state.apply_materialized(
-              id, resident_engine->materialize_spectrum(*state.wire_spectrum(id), params));
-        }
-      }
-
-      state.sweep_linear(level);
-      state.evict_spent_spectra(level);
-      wf.wall_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-
-      if (report != nullptr) {
-        const ResidencyStats& after_r = state.residency_stats();
-        wf.spectra_cached = after_r.forward_transforms - before_r.forward_transforms;
-        wf.inverses_paid = after_r.inverse_transforms - before_r.inverse_transforms;
-        wf.folds = after_r.domain_additions - before_r.domain_additions;
-        // Residency's cache semantics: a "miss" enters a spectrum, a "hit"
-        // re-consumes a resident one (each gate touches two operands).
-        wf.cache_misses = wf.spectra_cached;
-        wf.cache_hits = 2 * wf.and_gates - std::min<u64>(wf.spectra_cached, 2 * wf.and_gates);
-        wf.transforms_avoided = static_cast<i64>(3 * wf.and_gates) -
-                                static_cast<i64>(wf.spectra_cached + wf.inverses_paid);
-        wf.lanes_used = gates.empty() && forwards.empty() && leaves.empty() ? 0 : 1;
-        if (collect_stats) {
-          const core::SchedulerStats after = scheduler_->stats();
-          wf.lanes_used = 0;
-          for (std::size_t lane = 0; lane < after.lanes.size(); ++lane) {
-            const u64 jobs_before = lane < before.lanes.size() ? before.lanes[lane].jobs : 0;
-            if (after.lanes[lane].jobs > jobs_before) ++wf.lanes_used;
-          }
-        }
-        report->and_gates += wf.and_gates;
-        report->wavefronts.push_back(std::move(wf));
-      }
-      continue;
+    step_level(stepping, run);
+    wf.wall_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+    if (state.failed()) {
+      throw std::runtime_error("Evaluator: level " + std::to_string(wf.level) +
+                               " lane fault: " + state.fault());
     }
-    std::vector<bigint::BigUInt> products;
-    if (scheduler_ != nullptr) {
-      // Per-wavefront lane/cache numbers are before/after deltas of the
-      // scheduler-wide stats (a lane books each job before its future is
-      // satisfied, so the delta is complete once every future is read).
-      // They are observability-only: collect them just when a report was
-      // asked for. Per-wavefront stats are accurate only when the
-      // scheduler is not shared concurrently during the evaluation.
-      const bool collect_stats = report != nullptr;
-      core::SchedulerStats before;
-      if (collect_stats) before = scheduler_->stats();
-      // Submit per gate (no intermediate MulJob vector): each queued job
-      // holds the only extra copy of its operand pair.
-      std::vector<std::future<bigint::BigUInt>> futures;
-      futures.reserve(gates.size());
-      for (const u32 id : gates) {
-        backend::MulJob job = state.gate_job(id);
-        futures.push_back(scheduler_->submit_multiply(std::move(job.first), std::move(job.second)));
+    if (report == nullptr) continue;
+
+    if (resident) {
+      const ResidencyStats& after_r = state.residency_stats();
+      wf.spectra_cached = after_r.forward_transforms - before_r.forward_transforms;
+      wf.inverses_paid = after_r.inverse_transforms - before_r.inverse_transforms;
+      wf.folds = after_r.domain_additions - before_r.domain_additions;
+      // Residency's cache semantics: a "miss" enters a spectrum, a "hit"
+      // re-consumes a resident one (each gate touches two operands).
+      wf.cache_misses = wf.spectra_cached;
+      wf.cache_hits = 2 * wf.and_gates - std::min<u64>(wf.spectra_cached, 2 * wf.and_gates);
+      wf.transforms_avoided = static_cast<i64>(3 * wf.and_gates) -
+                              static_cast<i64>(wf.spectra_cached + wf.inverses_paid);
+    }
+    wf.lanes_used = 1;  // every level holds at least one AND gate
+    if (collect_stats) {
+      const core::SchedulerStats after = scheduler_->stats();
+      wf.lanes_used = 0;
+      for (std::size_t lane = 0; lane < after.lanes.size(); ++lane) {
+        const u64 jobs_before = lane < before.lanes.size() ? before.lanes[lane].jobs : 0;
+        if (after.lanes[lane].jobs > jobs_before) ++wf.lanes_used;
       }
-      products.reserve(futures.size());
-      for (auto& future : futures) products.push_back(future.get());
-      if (collect_stats) {
-        const core::SchedulerStats after = scheduler_->stats();
+      if (!resident) {
         wf.cache_hits = after.cache.hits - before.cache.hits;
         wf.cache_misses = after.cache.misses - before.cache.misses;
-        wf.batch.jobs = gates.size();
-        wf.batch.spectrum_cache_hits = wf.cache_hits;
-        for (std::size_t lane = 0; lane < after.lanes.size(); ++lane) {
-          const u64 jobs_before = lane < before.lanes.size() ? before.lanes[lane].jobs : 0;
-          if (after.lanes[lane].jobs > jobs_before) ++wf.lanes_used;
-          wf.batch.total_cycles +=
-              after.lanes[lane].hw_cycles -
-              (lane < before.lanes.size() ? before.lanes[lane].hw_cycles : 0);
-        }
       }
-    } else {
-      std::vector<backend::MulJob> jobs;
-      jobs.reserve(gates.size());
-      for (const u32 id : gates) jobs.push_back(state.gate_job(id));
-      products = engine->multiply_batch(jobs, &wf.batch);
-      wf.cache_hits = wf.batch.spectrum_cache_hits;
-      wf.cache_misses = wf.batch.forward_transforms;
-      wf.lanes_used = gates.empty() ? 0 : 1;
     }
-    wf.wall_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-
-    for (std::size_t k = 0; k < gates.size(); ++k) {
-      state.apply_product(gates[k], std::move(products[k]));
-    }
-    state.sweep_linear(level);
-
-    if (report != nullptr) {
-      report->and_gates += wf.and_gates;
-      report->wavefronts.push_back(std::move(wf));
-    }
+    report->and_gates += wf.and_gates;
+    report->wavefronts.push_back(std::move(wf));
   }
 
   if (report != nullptr && resident) report->residency = state.residency_stats();

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -35,22 +36,20 @@ struct ResidencyStats {
 };
 
 /// Execution statistics of one wavefront (all independent AND gates at one
-/// multiplicative depth, issued as a single batch). On the scheduler path
-/// these are before/after deltas of the scheduler-wide counters, so they
-/// are accurate only when the scheduler is not shared concurrently during
-/// the evaluation (pass no report to skip collecting them entirely).
+/// multiplicative depth, issued as one round of lane tasks). On the
+/// scheduler path lanes_used (and, off residency, the cache figures) are
+/// before/after deltas of the scheduler-wide counters, so they are accurate
+/// only when the scheduler is not shared concurrently during the evaluation
+/// (pass no report to skip collecting them entirely).
 struct WavefrontStats {
   unsigned level = 0;  ///< multiplicative depth of the wavefront
   u64 and_gates = 0;   ///< gates batched at this depth
-  /// Engine-path transform accounting (multiply_batch): spectrum-cache
-  /// hits, forward/inverse transforms, modeled cycles for "hw".
-  backend::BatchStats batch;
-  /// Cache accounting unified across execution paths: the scheduler path
-  /// reads the shared ConcurrentSpectrumCache delta, the engine path
-  /// mirrors batch.spectrum_cache_hits / batch.forward_transforms.
+  /// Spectrum-cache accounting: resident evaluations count spectra entered
+  /// (misses) and re-consumed (hits); eager evaluations on a scheduler read
+  /// the shared ConcurrentSpectrumCache delta (0 on a single engine).
   u64 cache_hits = 0;
   u64 cache_misses = 0;
-  unsigned lanes_used = 0;  ///< PE lanes that executed >= 1 gate (scheduler path)
+  unsigned lanes_used = 0;  ///< PE lanes that ran >= 1 task (1 on a single engine)
   double wall_ms = 0.0;     ///< wall-clock of the wavefront
   // Spectrum-residency accounting (filled when the evaluation ran
   // resident; deterministic deltas of the coordinator-side counters).
@@ -104,19 +103,45 @@ struct EvalOptions {
   bool check_noise = true;
 };
 
+/// Runs body(k, engine) once for every k in [0, count) on some execution
+/// lane's engine, returning only once every call has finished. Calls may
+/// run concurrently; a body never throws.
+using LaneBody = std::function<void(std::size_t, backend::MultiplierBackend&)>;
+using LaneRunner = std::function<void(std::size_t count, const LaneBody& body)>;
+
+/// The runner that submits each call to `scheduler` as one job and waits
+/// for all of them (non-owning; the scheduler must outlive the runner).
+[[nodiscard]] LaneRunner scheduler_lanes(core::Scheduler& scheduler);
+
+class EvalState;
+
+/// The level protocol, written once for every executor of a recorded
+/// Graph: advances each state in `states` that is neither done nor faulted
+/// by one level (its own next_level()). Every phase covers all the states
+/// at once; each lane phase goes out as one round of lane tasks:
+///   - resident states (enable_residency): forward transforms of operand
+///     wires new to the NTT domain -> pointwise products of the level's AND
+///     gates -> XOR folds as coordinator-side spectrum additions -> one
+///     inverse per wire whose value leaves the domain;
+///   - eager states: one product per AND gate.
+/// Then every surviving state sweeps the level's remaining XOR gates,
+/// evicts its spent spectra and moves to the next level. A lane task that
+/// throws faults only its own state: the message is kept in a per-task
+/// slot until the round drains, and the state keeps its first fault and
+/// takes no further steps.
+void step_level(std::span<EvalState* const> states, const LaneRunner& run);
+
 /// The stepping core of wavefront evaluation, shared by every executor of
 /// a recorded Graph: dead-node elimination from the requested outputs,
-/// per-depth wavefront grouping, the pre-execution noise audit, XOR/input
-/// sweeps and AND-product completion (reduction modulo x0 + noise
-/// annotation). fhe::Evaluator drives one instance to completion in a
-/// single call; core::Service interleaves many instances one level per
-/// coalesced round. Keeping the rules here is what guarantees served
-/// results stay bit-exact against in-process evaluation.
+/// per-depth wavefront grouping, the pre-execution noise audit, and the
+/// per-level protocol run by step_level. fhe::Evaluator drives one state to
+/// completion; core::Service steps many states one coalesced round at a
+/// time. Keeping the rules here is what guarantees served results stay
+/// bit-exact against in-process evaluation.
 ///
-/// Protocol per level L = 1..max_level(): obtain the gates of
-/// wavefront(L), multiply each gate_job() on any engine, hand every raw
-/// product back through apply_product(), then sweep_linear(L). Level 0
-/// (inputs and depth-0 XORs) is swept in the constructor.
+/// Resident results are bit-exact against the eager protocol: spectrum sums
+/// stand for sums of the same raw products, reduced by the same x0 at
+/// materialization ((a mod x0) + (b mod x0) == a + b (mod x0)).
 class EvalState {
  public:
   /// Validates the output wires, eliminates dead nodes, levels the live
@@ -139,36 +164,20 @@ class EvalState {
   // --- stepping ------------------------------------------------------------
   /// Live AND gates at one multiplicative depth (node ids into graph()).
   [[nodiscard]] const std::vector<u32>& wavefront(unsigned level) const;
-  /// The operand pair of a wavefront gate, materialized for an engine.
-  [[nodiscard]] backend::MulJob gate_job(u32 id) const;
-  /// Completes gate `id` with its raw product: reduces modulo the
-  /// scheme's x0 and annotates the analytic noise estimate.
-  void apply_product(u32 id, bigint::BigUInt product);
-  /// Evaluates the live inputs/XOR additions at one depth (call after the
-  /// level's AND products are applied; the constructor sweeps level 0).
-  void sweep_linear(unsigned level);
+  /// The level the next step_level round executes (levels run 1..max_level()).
+  [[nodiscard]] unsigned next_level() const noexcept { return next_level_; }
+  /// Every level has been stepped; outputs() is valid.
+  [[nodiscard]] bool done() const noexcept { return next_level_ > max_level_; }
+  /// A lane task of this state threw; fault() holds its message.
+  [[nodiscard]] bool failed() const noexcept { return !fault_.empty(); }
+  [[nodiscard]] const std::string& fault() const noexcept { return fault_; }
 
-  /// One ciphertext per requested output wire, in order. Valid once every
-  /// level has been stepped.
+  /// One ciphertext per requested output wire, in order. Valid once done().
   [[nodiscard]] std::vector<Ciphertext> outputs() const;
 
-  // --- spectrum-resident stepping ------------------------------------------
-  // Opt-in alternative protocol per level L (engines that speak spectrum
-  // handles only -- SsaBackend / "ssa" scheduler lanes):
-  //   1. forward every wire of spectrum_plan(L), install_operand_spectrum();
-  //   2. pointwise-multiply each wavefront gate's operand spectra,
-  //      install_product();
-  //   3. fold_linear(L): XOR gates over in-domain products become pointwise
-  //      spectrum additions (lazy coefficients, bound-tracked);
-  //   4. materialize every wire of materialize_plan(L) (one inverse each),
-  //      apply_materialized();
-  //   5. sweep_linear(L) for the remaining eager XORs;
-  //   6. evict_spent_spectra(L).
-  // Results are bit-exact against the eager protocol: spectrum sums stand
-  // for sums of the same raw products, reduced by the same x0 at
-  // materialization ((a mod x0) + (b mod x0) == a + b (mod x0)).
-
-  /// Plans residency: decides per wire whether it stays in the spectrum
+  /// Switches the state to the spectrum-resident protocol (engines that
+  /// speak spectrum handles only -- SsaBackend / "ssa" scheduler lanes) and
+  /// plans residency: decides per wire whether it stays in the spectrum
   /// domain (static reduction-bound analysis included; over-bound XOR folds
   /// are demoted to eager and counted as bound_flushes). `registry`, when
   /// given, mirrors resident entries into the shared concurrent cache under
@@ -177,45 +186,44 @@ class EvalState {
   void enable_residency(const ssa::SsaParams& params,
                         ssa::ConcurrentSpectrumCache* registry = nullptr);
   [[nodiscard]] bool residency_enabled() const noexcept { return residency_; }
-  [[nodiscard]] const ssa::SsaParams& spectrum_params() const noexcept { return params_; }
-
-  /// The materialized value of a wire (for forward transforms).
-  [[nodiscard]] const bigint::BigUInt& wire_value(u32 id) const;
-
-  /// Distinct operand wires of wavefront(level) gates that still need a
-  /// forward transform (ascending wire id; deterministic).
-  [[nodiscard]] std::vector<u32> spectrum_plan(unsigned level) const;
-  void install_operand_spectrum(u32 wire, ssa::SpectrumHandle spectrum);
-  [[nodiscard]] ssa::SpectrumHandle operand_spectrum(u32 wire) const;
-
-  /// Installs the pointwise product spectrum of wavefront gate `id`.
-  void install_product(u32 id, ssa::SpectrumHandle spectrum);
-
-  /// Sweeps the level's foldable XOR gates as pointwise spectrum additions
-  /// (coordinator-side; a fold is one O(N) vector addition).
-  void fold_linear(unsigned level);
-
-  /// Wires of this level whose values are consumed outside the spectrum
-  /// domain (outputs, AND operands, eager-XOR operands) -- one inverse
-  /// transform each (ascending wire id; deterministic).
-  [[nodiscard]] std::vector<u32> materialize_plan(unsigned level) const;
-
-  /// The product/sum spectrum standing for wire `id`.
-  [[nodiscard]] ssa::SpectrumHandle wire_spectrum(u32 id) const;
-
-  /// Completes a materialization with the raw integer the spectrum stood
-  /// for: reduces modulo x0 and annotates the analytic noise estimate.
-  void apply_materialized(u32 id, bigint::BigUInt raw);
-
-  /// Drops every resident spectrum whose last consumer was this level
-  /// (single-use operands leave after the wavefront that consumed them).
-  void evict_spent_spectra(unsigned level);
 
   [[nodiscard]] const ResidencyStats& residency_stats() const noexcept { return rstats_; }
 
   ~EvalState();
 
  private:
+  friend void step_level(std::span<EvalState* const> states, const LaneRunner& run);
+
+  /// Completes gate `id` with its raw product: reduces modulo the scheme's
+  /// x0 and annotates the analytic noise estimate.
+  void apply_product(u32 id, bigint::BigUInt product);
+  /// Evaluates the live inputs/XOR additions at one depth (after the
+  /// level's AND products are applied; the constructor sweeps level 0).
+  void sweep_linear(unsigned level);
+
+  /// Distinct operand wires of wavefront(level) gates that still need a
+  /// forward transform (ascending wire id; deterministic).
+  [[nodiscard]] std::vector<u32> spectrum_plan(unsigned level) const;
+  void install_operand_spectrum(u32 wire, ssa::SpectrumHandle spectrum);
+  [[nodiscard]] ssa::SpectrumHandle operand_spectrum(u32 wire) const;
+  /// Installs the pointwise product spectrum of wavefront gate `id`.
+  void install_product(u32 id, ssa::SpectrumHandle spectrum);
+  /// Sweeps the level's foldable XOR gates as pointwise spectrum additions
+  /// (coordinator-side; a fold is one O(N) vector addition).
+  void fold_linear(unsigned level);
+  /// Wires of this level whose values are consumed outside the spectrum
+  /// domain (outputs, AND operands, eager-XOR operands) -- one inverse
+  /// transform each (ascending wire id; deterministic).
+  [[nodiscard]] std::vector<u32> materialize_plan(unsigned level) const;
+  /// The product/sum spectrum standing for wire `id`.
+  [[nodiscard]] ssa::SpectrumHandle wire_spectrum(u32 id) const;
+  /// Completes a materialization with the raw integer the spectrum stood
+  /// for: reduces modulo x0 and annotates the analytic noise estimate.
+  void apply_materialized(u32 id, bigint::BigUInt raw);
+  /// Drops every resident spectrum whose last consumer was this level
+  /// (single-use operands leave after the wavefront that consumed them).
+  void evict_spent_spectra(unsigned level);
+
   [[nodiscard]] u64 local_key(u32 wire, unsigned kind) const noexcept;
   [[nodiscard]] u64 registry_key(u32 wire, unsigned kind) const noexcept;
   void publish(u32 wire, unsigned kind, ssa::SpectrumHandle spectrum);
@@ -231,6 +239,8 @@ class EvalState {
   unsigned max_level_ = 0;
   double max_noise_ = 0.0;
   u32 worst_wire_ = Wire::kInvalid;
+  unsigned next_level_ = 1;
+  std::string fault_;  ///< first lane fault (empty while healthy)
 
   // Spectrum residency (set up by enable_residency).
   bool residency_ = false;
@@ -248,14 +258,14 @@ class EvalState {
 
 /// Wavefront executor for a recorded Graph: dead nodes (not reachable from
 /// the requested outputs) are eliminated, live AND gates are grouped by
-/// multiplicative depth, and each depth is issued as ONE batch -- to the
-/// multi-PE core::Scheduler when one is installed (every gate of the
-/// wavefront in flight across all lanes at once) or to the engine's
-/// spectrum-caching multiply_batch otherwise. XOR nodes are plain
-/// ciphertext additions evaluated between wavefronts.
+/// multiplicative depth, and step_level runs each depth as one round of
+/// lane tasks -- across the multi-PE core::Scheduler's lanes when one is
+/// installed, inline on one engine otherwise. Spectrum residency engages
+/// when the lanes (or the engine) run the software SSA engine.
 ///
-/// Results are bit-exact against eager fhe::Circuits evaluation: the same
-/// products are taken modulo the same x0, only their grouping differs.
+/// Results are bit-exact against gate-at-a-time evaluation
+/// (fhe::ReferenceBuilder): the same products are taken modulo the same
+/// x0, only their grouping differs.
 class Evaluator {
  public:
   /// Executes AND wavefronts on the graph's scheme engine.
@@ -272,6 +282,9 @@ class Evaluator {
 
   /// Evaluates `outputs` (and everything they depend on), returning one
   /// ciphertext per requested wire, in order. Fills `report` when given.
+  /// Throws NoiseBudgetError before execution when the audit vetoes the
+  /// circuit, and std::runtime_error carrying the lane's message when a
+  /// lane task throws (after that level's tasks have drained).
   std::vector<Ciphertext> evaluate(const Graph& graph, std::span<const Wire> outputs,
                                    EvalReport* report = nullptr,
                                    const EvalOptions& options = {});

@@ -36,8 +36,9 @@ enum class GateOp : unsigned char { kInput, kXor, kAnd };
 ///   - leveled: every wire knows its multiplicative depth, which the
 ///     Evaluator uses to batch independent AND gates into wavefronts.
 ///
-/// Word-level builders mirror fhe::Circuits' eager constructions gate for
-/// gate, so evaluating a graph reproduces the eager results bit for bit.
+/// Word-level builders run the fhe/lowering.hpp templates, as the
+/// gate-at-a-time fhe::ReferenceBuilder does, so evaluating a graph
+/// reproduces the reference results bit for bit.
 class Graph {
  public:
   /// Gate-builder concept hook: the lowering templates record into a Graph
@@ -151,8 +152,6 @@ class Graph {
   [[nodiscard]] const Dghv& scheme() const noexcept { return *scheme_; }
 
  private:
-  friend class Evaluator;
-
   struct Node {
     GateOp op = GateOp::kInput;
     u32 a = Wire::kInvalid;   ///< operand node ids (unused for inputs)

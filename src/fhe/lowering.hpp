@@ -28,8 +28,8 @@ enum class LoweringStrategy : u8 {
   kCarrySave = 1,
 };
 
-/// The one public lowering knob, threaded as a Graph/Circuits-level
-/// default and overridable per word-op call.
+/// The one public lowering knob, threaded as a Graph-level default and
+/// overridable per word-op call.
 struct LoweringOptions {
   LoweringStrategy strategy = LoweringStrategy::kRippleCarry;
 
@@ -66,7 +66,7 @@ namespace lowering {
 /// instantiated for every consumer, so the gate structure of a strategy
 /// cannot diverge between them:
 ///   - fhe::Graph          (WireType = Wire)     -- lazy recording
-///   - the eager adapter in circuits.cpp         -- ciphertext-at-a-time
+///   - fhe::ReferenceBuilder (circuits.hpp)      -- gate-at-a-time reference
 ///   - DepthSim / NoiseSim in noise.cpp          -- analytic prediction
 ///   - PlainBuilder in the tests                 -- plaintext reference
 /// A builder provides:
@@ -270,22 +270,26 @@ WireOf<B> lower_equals(B& g, std::span<const WireOf<B>> a, std::span<const WireO
   return acc;
 }
 
-/// Accumulates the shifted partial-product rows of a multiplier
-/// (rows[j][i] has weight 2^(i+j)) into the 2w-bit product. The rows are
-/// produced by the caller so eager facades can batch or fan out the
-/// partial-product AND gates their own way.
+/// Schoolbook multiplier: the partial-product rows (rows[j][i] =
+/// a[i] AND b[j], weight 2^(i+j)) accumulated into the 2w-bit product by
+/// ripple row adders or a Wallace tree.
 template <class B>
-std::vector<WireOf<B>> accumulate_rows(B& g,
-                                       const std::vector<std::vector<WireOf<B>>>& rows,
-                                       const WireOf<B>& zero, std::size_t out_width,
-                                       LoweringOptions options) {
+std::vector<WireOf<B>> lower_multiply(B& g, std::span<const WireOf<B>> a,
+                                      std::span<const WireOf<B>> b, const WireOf<B>& zero,
+                                      LoweringOptions options) {
+  HEMUL_CHECK_MSG(!a.empty() && !b.empty(), "multiplier needs nonempty inputs");
+  const std::size_t out_width = a.size() + b.size();
+  // The partial-product matrix: every and(a[i], b[j]) is depth 1 -- one
+  // wavefront -- regardless of how the rows are accumulated.
+  std::vector<std::vector<WireOf<B>>> rows(b.size());
+  for (std::size_t j = 0; j < b.size(); ++j) {
+    rows[j].reserve(a.size());
+    for (std::size_t i = 0; i < a.size(); ++i) rows[j].push_back(g.gate_and(a[i], b[j]));
+  }
   if (options.strategy == LoweringStrategy::kCarrySave) {
     std::vector<std::vector<WireOf<B>>> columns(out_width);
     for (std::size_t j = 0; j < rows.size(); ++j) {
-      for (std::size_t i = 0; i < rows[j].size(); ++i) {
-        HEMUL_CHECK_MSG(i + j < out_width, "partial product past the result width");
-        columns[i + j].push_back(rows[j][i]);
-      }
+      for (std::size_t i = 0; i < rows[j].size(); ++i) columns[i + j].push_back(rows[j][i]);
     }
     return wallace_reduce<B>(g, std::move(columns), zero);
   }
@@ -298,21 +302,6 @@ std::vector<WireOf<B>> accumulate_rows(B& g,
     acc = std::move(added.sum);  // carry_out is dead: out_width fits the product
   }
   return acc;
-}
-
-template <class B>
-std::vector<WireOf<B>> lower_multiply(B& g, std::span<const WireOf<B>> a,
-                                      std::span<const WireOf<B>> b, const WireOf<B>& zero,
-                                      LoweringOptions options) {
-  HEMUL_CHECK_MSG(!a.empty() && !b.empty(), "multiplier needs nonempty inputs");
-  // The partial-product matrix: every and(a[i], b[j]) is depth 1 -- one
-  // wavefront -- regardless of how the rows are accumulated.
-  std::vector<std::vector<WireOf<B>>> rows(b.size());
-  for (std::size_t j = 0; j < b.size(); ++j) {
-    rows[j].reserve(a.size());
-    for (std::size_t i = 0; i < a.size(); ++i) rows[j].push_back(g.gate_and(a[i], b[j]));
-  }
-  return accumulate_rows<B>(g, rows, zero, a.size() + b.size(), options);
 }
 
 template <class B>

@@ -35,8 +35,8 @@ struct DghvParams {
   static DghvParams medium();
 
   /// Small-gamma / large-eta setting with a deep noise budget, for
-  /// evaluating multi-level circuits (e.g. the word-level multiplier of
-  /// fhe::Circuits) without bootstrapping.
+  /// evaluating multi-level circuits (e.g. the word-level multiplier)
+  /// without bootstrapping.
   static DghvParams deep();
 
   /// Consistency checks (eta < gamma, rho < eta, tau >= 1 ...).

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "backend/registry.hpp"
-#include "backend/ssa_backend.hpp"
 #include "fhe/evaluator.hpp"
 #include "fhe/graph.hpp"
 #include "fhe/noise.hpp"
@@ -60,8 +59,9 @@ struct Service::Pending {
 
 /// An admitted request mid-evaluation: the recorded graph plus the shared
 /// fhe::EvalState stepping core the coordinator advances one coalesced
-/// round at a time (the very rules fhe::Evaluator runs in-process, so
-/// served results are bit-exact against local evaluation by construction).
+/// round at a time through fhe::step_level (the very protocol
+/// fhe::Evaluator runs in-process, so served results are bit-exact against
+/// local evaluation by construction).
 struct Service::Active {
   Session* session = nullptr;
   std::promise<Response> promise;
@@ -70,10 +70,7 @@ struct Service::Active {
 
   fhe::Graph graph;
   std::optional<fhe::EvalState> state;  ///< built once recording succeeded
-  unsigned next_level = 1;
   Response response;  ///< counters filled as rounds execute
-  bool failed = false;
-  std::string fail_error;
 
   explicit Active(const fhe::Dghv& scheme) : graph(scheme) {}
 
@@ -431,259 +428,54 @@ std::unique_ptr<Service::Active> Service::admit(Pending&& pending) {
   return active;
 }
 
-void Service::retire_round(std::vector<std::unique_ptr<Active>>& active, bool resident) {
-  // Advance every participant one level; retire the finished and failed.
+void Service::retire_round(std::vector<std::unique_ptr<Active>>& active) {
+  // Retire the finished and failed participants; the rest stay active.
   std::vector<std::unique_ptr<Active>> still_running;
   still_running.reserve(active.size());
   for (auto& request : active) {
-    if (request->failed) {
+    const fhe::EvalState& state = *request->state;
+    if (state.failed()) {
       Response response = std::move(request->response);
       response.status = ResponseStatus::kInternalError;
-      response.error = "execution failed: " + request->fail_error;
+      response.error = "execution failed: " + state.fault();
       complete(*request, std::move(response));
       continue;
     }
-    request->response.and_gates += request->state->wavefront(request->next_level).size();
+    request->response.and_gates += state.wavefront(state.next_level() - 1).size();
     ++request->response.shared_batches;
-    request->state->sweep_linear(request->next_level);
-    if (resident) request->state->evict_spent_spectra(request->next_level);
-    ++request->next_level;
-    if (request->next_level > request->state->max_level()) {
-      Response response = std::move(request->response);
-      if (resident) {
-        const fhe::ResidencyStats& rs = request->state->residency_stats();
-        response.transforms_executed = rs.transforms_executed();
-        response.transforms_avoided = static_cast<i64>(3 * response.and_gates) -
-                                      static_cast<i64>(rs.transforms_executed());
-      }
-      response.outputs = request->serialize_outputs();
-      complete(*request, std::move(response));
-    } else {
+    if (!state.done()) {
       still_running.push_back(std::move(request));
+      continue;
     }
+    Response response = std::move(request->response);
+    if (state.residency_enabled()) {
+      const fhe::ResidencyStats& rs = state.residency_stats();
+      response.transforms_executed = rs.transforms_executed();
+      response.transforms_avoided = static_cast<i64>(3 * response.and_gates) -
+                                    static_cast<i64>(rs.transforms_executed());
+    }
+    response.outputs = request->serialize_outputs();
+    complete(*request, std::move(response));
   }
   active = std::move(still_running);
 }
 
-void Service::run_round_resident(std::vector<std::unique_ptr<Active>>& active) {
-  // The resident protocol, fused across tenants phase by phase. Faults are
-  // confined to fault slots exactly like the eager round: lane closures
-  // never let an exception cross threads (see run_round).
-  {
-    std::lock_guard lock(mutex_);
-    ++totals_.batches_submitted;
-    totals_.coalesced_requests += active.size();
-  }
-
-  struct SpectrumJob {
-    Active* request = nullptr;
-    u32 wire = 0;
-  };
-
-  // Phase A: forward transforms of operand wires new to the domain.
-  std::vector<SpectrumJob> forwards;
-  for (const auto& request : active) {
-    for (const u32 w : request->state->spectrum_plan(request->next_level)) {
-      forwards.push_back({request.get(), w});
-    }
-  }
-  {
-    std::vector<ssa::SpectrumHandle> slots(forwards.size());
-    std::vector<std::unique_ptr<std::string>> faults(forwards.size());
-    std::vector<std::future<bigint::BigUInt>> futures;
-    futures.reserve(forwards.size());
-    for (std::size_t k = 0; k < forwards.size(); ++k) {
-      auto [request, wire] = forwards[k];
-      futures.push_back(scheduler_.submit(
-          [value = request->state->wire_value(wire), params = request->state->spectrum_params(),
-           slot = &slots[k],
-           fault = &faults[k]](backend::MultiplierBackend& engine) -> bigint::BigUInt {
-            try {
-              auto* ssa_engine = dynamic_cast<backend::SsaBackend*>(&engine);
-              HEMUL_CHECK_MSG(ssa_engine != nullptr, "resident round on a non-ssa lane");
-              *slot = ssa_engine->forward_spectrum(value, params);
-            } catch (const std::exception& e) {
-              *fault = std::make_unique<std::string>(e.what());
-            } catch (...) {
-              *fault = std::make_unique<std::string>("unknown lane error");
-            }
-            return bigint::BigUInt{};
-          }));
-    }
-    for (std::size_t k = 0; k < futures.size(); ++k) {
-      futures[k].get();
-      auto [request, wire] = forwards[k];
-      if (faults[k] != nullptr) {
-        if (!request->failed) {
-          request->failed = true;
-          request->fail_error = *faults[k];
-        }
-      } else if (!request->failed) {
-        request->state->install_operand_spectrum(wire, std::move(slots[k]));
-      }
-    }
-  }
-
-  // Phase B: every ready AND gate across all tenants as pointwise products.
-  std::vector<SpectrumJob> gates;
-  for (const auto& request : active) {
-    if (request->failed) continue;
-    for (const u32 id : request->state->wavefront(request->next_level)) {
-      gates.push_back({request.get(), id});
-    }
-  }
-  {
-    std::vector<ssa::SpectrumHandle> slots(gates.size());
-    std::vector<std::unique_ptr<std::string>> faults(gates.size());
-    std::vector<std::future<bigint::BigUInt>> futures;
-    futures.reserve(gates.size());
-    for (std::size_t k = 0; k < gates.size(); ++k) {
-      auto [request, id] = gates[k];
-      const auto [a, b] = request->graph.operands(fhe::Wire{id});
-      futures.push_back(scheduler_.submit(
-          [sa = request->state->operand_spectrum(a.id),
-           sb = request->state->operand_spectrum(b.id),
-           params = request->state->spectrum_params(), slot = &slots[k],
-           fault = &faults[k]](backend::MultiplierBackend& engine) -> bigint::BigUInt {
-            try {
-              auto* ssa_engine = dynamic_cast<backend::SsaBackend*>(&engine);
-              HEMUL_CHECK_MSG(ssa_engine != nullptr, "resident round on a non-ssa lane");
-              *slot = ssa_engine->multiply_spectra(sa, sb, params);
-            } catch (const std::exception& e) {
-              *fault = std::make_unique<std::string>(e.what());
-            } catch (...) {
-              *fault = std::make_unique<std::string>("unknown lane error");
-            }
-            return bigint::BigUInt{};
-          }));
-    }
-    for (std::size_t k = 0; k < futures.size(); ++k) {
-      futures[k].get();
-      auto [request, id] = gates[k];
-      if (faults[k] != nullptr) {
-        if (!request->failed) {
-          request->failed = true;
-          request->fail_error = *faults[k];
-        }
-      } else if (!request->failed) {
-        request->state->install_product(id, std::move(slots[k]));
-      }
-    }
-  }
-
-  // Phase C: XOR folds are coordinator-side pointwise additions.
-  for (const auto& request : active) {
-    if (!request->failed) request->state->fold_linear(request->next_level);
-  }
-
-  // Phase D: one inverse per wire whose value leaves the domain.
-  std::vector<SpectrumJob> leaves;
-  for (const auto& request : active) {
-    if (request->failed) continue;
-    for (const u32 id : request->state->materialize_plan(request->next_level)) {
-      leaves.push_back({request.get(), id});
-    }
-  }
-  {
-    std::vector<std::unique_ptr<std::string>> faults(leaves.size());
-    std::vector<std::future<bigint::BigUInt>> futures;
-    futures.reserve(leaves.size());
-    for (std::size_t k = 0; k < leaves.size(); ++k) {
-      auto [request, id] = leaves[k];
-      futures.push_back(scheduler_.submit(
-          [spectrum = request->state->wire_spectrum(id),
-           params = request->state->spectrum_params(),
-           fault = &faults[k]](backend::MultiplierBackend& engine) -> bigint::BigUInt {
-            try {
-              auto* ssa_engine = dynamic_cast<backend::SsaBackend*>(&engine);
-              HEMUL_CHECK_MSG(ssa_engine != nullptr, "resident round on a non-ssa lane");
-              return ssa_engine->materialize_spectrum(*spectrum, params);
-            } catch (const std::exception& e) {
-              *fault = std::make_unique<std::string>(e.what());
-            } catch (...) {
-              *fault = std::make_unique<std::string>("unknown lane error");
-            }
-            return bigint::BigUInt{};
-          }));
-    }
-    for (std::size_t k = 0; k < futures.size(); ++k) {
-      bigint::BigUInt raw = futures[k].get();
-      auto [request, id] = leaves[k];
-      if (faults[k] != nullptr) {
-        if (!request->failed) {
-          request->failed = true;
-          request->fail_error = *faults[k];
-        }
-      } else if (!request->failed) {
-        request->state->apply_materialized(id, std::move(raw));
-      }
-    }
-  }
-
-  retire_round(active, /*resident=*/true);
-}
-
 void Service::run_round(std::vector<std::unique_ptr<Active>>& active) {
-  if (scheduler_.lanes_support_spectra()) {
-    run_round_resident(active);
-    return;
-  }
-
-  // Fuse the fronts: every request's next wavefront into ONE scheduler
-  // batch, so independent tenants at the same depth share the round.
-  std::vector<std::pair<Active*, u32>> owners;
-  for (const auto& request : active) {
-    for (const u32 id : request->state->wavefront(request->next_level)) {
-      owners.emplace_back(request.get(), id);
-    }
-  }
-  HEMUL_CHECK_MSG(!owners.empty(), "Service: round with no ready gates");
   {
     std::lock_guard lock(mutex_);
     ++totals_.batches_submitted;
     totals_.coalesced_requests += active.size();
   }
-
-  // A lane exception (engine limits, faulting backend) must fail THIS
-  // request while the coordinator -- and every other tenant -- lives on.
-  // Faults are confined to the lane thread and reported through per-gate
-  // slots (published to the coordinator by the promise/future handoff of
-  // each job) rather than exception_ptr: a rethrown exception's refcounted
-  // what()-string crossing threads is invisible to TSan inside libstdc++
-  // and reads as a race.
-  std::vector<std::unique_ptr<std::string>> faults(owners.size());
-  std::vector<std::future<bigint::BigUInt>> futures;
-  futures.reserve(owners.size());
-  for (std::size_t k = 0; k < owners.size(); ++k) {
-    auto [request, id] = owners[k];
-    backend::MulJob job = request->state->gate_job(id);
-    futures.push_back(scheduler_.submit(
-        [a = std::move(job.first), b = std::move(job.second),
-         fault = &faults[k]](backend::MultiplierBackend& engine) -> bigint::BigUInt {
-          try {
-            return engine.multiply(a, b);
-          } catch (const std::exception& e) {
-            *fault = std::make_unique<std::string>(e.what());
-          } catch (...) {
-            *fault = std::make_unique<std::string>("unknown lane error");
-          }
-          return bigint::BigUInt{};
-        }));
-  }
-  for (std::size_t k = 0; k < futures.size(); ++k) {
-    auto [request, id] = owners[k];
-    bigint::BigUInt product = futures[k].get();
-    if (faults[k] != nullptr) {
-      if (!request->failed) {
-        request->failed = true;
-        request->fail_error = *faults[k];
-      }
-    } else if (!request->failed) {
-      request->state->apply_product(id, std::move(product));
-    }
-  }
-
-  retire_round(active, /*resident=*/false);
+  // Fuse the fronts: every request's next level goes out phase by phase as
+  // ONE round of lane tasks, so independent tenants at the same depth share
+  // the scheduler (and the spectrum cache). A lane exception fails only
+  // the request it belongs to; the coordinator and every other tenant live
+  // on.
+  std::vector<fhe::EvalState*> states;
+  states.reserve(active.size());
+  for (const auto& request : active) states.push_back(&*request->state);
+  fhe::step_level(states, fhe::scheduler_lanes(scheduler_));
+  retire_round(active);
 }
 
 void Service::coordinator_loop() {

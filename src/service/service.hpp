@@ -145,16 +145,12 @@ class Service {
   /// immediately on parse errors, noise veto, or a multiplication-free
   /// circuit. Returns the active state otherwise.
   std::unique_ptr<Active> admit(Pending&& pending);
-  /// Runs one coalesced round over `active`: one scheduler batch holding
-  /// every request's next wavefront. Completed requests are removed.
+  /// Runs one coalesced round over `active`: fhe::step_level advances every
+  /// request one level, each phase fused across all of them. Completed
+  /// requests are removed.
   void run_round(std::vector<std::unique_ptr<Active>>& active);
-  /// The spectrum-resident round ("ssa" lanes only): forwards, pointwise
-  /// products, coordinator-side XOR folds, then one inverse per wire whose
-  /// value leaves the NTT domain -- fused across all tenants per phase.
-  void run_round_resident(std::vector<std::unique_ptr<Active>>& active);
-  /// Retires finished / failed requests after a round and advances the
-  /// rest one level.
-  void retire_round(std::vector<std::unique_ptr<Active>>& active, bool resident);
+  /// Retires finished / failed requests after a round.
+  void retire_round(std::vector<std::unique_ptr<Active>>& active);
   void complete(Active& request, Response response);
 
   ServiceOptions options_;

@@ -7,9 +7,13 @@
 #include "backend/hw_backend.hpp"
 #include "backend/registry.hpp"
 #include "backend/ssa_backend.hpp"
+#include "backend_sweep.hpp"
 #include "bigint/mul.hpp"
 #include "fhe/circuits.hpp"
 #include "fhe/dghv.hpp"
+#include "fhe/graph.hpp"
+#include "fhe/lowering.hpp"
+#include "fhe/noise.hpp"
 #include "util/rng.hpp"
 
 namespace hemul::backend {
@@ -269,15 +273,38 @@ TEST(SsaBackendStats, CumulativeTransformCountIsCacheAware) {
 }
 
 TEST(Fhe, CircuitsWordMultiplyOnExplicitBackend) {
-  fhe::Dghv scheme(fhe::DghvParams::deep(), 11);
-  fhe::Circuits circuits(scheme, make_backend("classical"));
-  const auto zero = scheme.encrypt(false);
-
+  // Toy-width ciphertexts (the small "hw" lanes hold them) with eta sized
+  // off the noise predictor, so the 3x3 ripple multiply decrypts.
+  fhe::DghvParams params = fhe::DghvParams::toy();
+  params.eta = static_cast<std::size_t>(
+                   fhe::NoiseModel::predicted_noise_bits(fhe::WordOp::kMultiply, 3, params, {})) +
+               32;
+  ASSERT_LT(params.eta, params.gamma);
+  fhe::Dghv scheme(params, 11);
+  const fhe::Ciphertext zero = scheme.encrypt(false);
   const fhe::EncryptedInt a = fhe::encrypt_int(scheme, 5, 3);
   const fhe::EncryptedInt b = fhe::encrypt_int(scheme, 6, 3);
-  const fhe::EncryptedInt product = circuits.multiply(a, b, zero);
-  EXPECT_EQ(fhe::decrypt_int(scheme, product), 30u);
-  EXPECT_GT(circuits.and_gates_used(), 0u);
+
+  fhe::ReferenceBuilder ref{&scheme};
+  const std::vector<fhe::Ciphertext> reference = fhe::lowering::lower_multiply(
+      ref, std::span<const fhe::Ciphertext>(a), std::span<const fhe::Ciphertext>(b), zero, {});
+  EXPECT_EQ(fhe::decrypt_int(scheme, reference), 30u);
+
+  fhe::Graph graph(scheme);
+  const std::vector<fhe::Wire> outputs =
+      graph.multiply(graph.inputs(a), graph.inputs(b), graph.input(zero));
+  testutil::for_each_execution_path(
+      [&](const std::string& name, unsigned workers, fhe::Evaluator& evaluator) {
+        fhe::EvalReport report;
+        const std::vector<fhe::Ciphertext> product = evaluator.evaluate(graph, outputs, &report);
+        EXPECT_GT(report.and_gates, 0u) << name << " x" << workers;
+        ASSERT_EQ(product.size(), reference.size()) << name << " x" << workers;
+        for (std::size_t i = 0; i < product.size(); ++i) {
+          EXPECT_EQ(product[i].value, reference[i].value)
+              << name << " x" << workers << " bit " << i;
+        }
+        EXPECT_EQ(fhe::decrypt_int(scheme, product), 30u) << name << " x" << workers;
+      });
 }
 
 }  // namespace

@@ -2,17 +2,19 @@
 
 #include <atomic>
 #include <memory>
-#include <thread>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "backend/hw_backend.hpp"
 #include "backend/registry.hpp"
+#include "backend_sweep.hpp"
 #include "core/accelerator.hpp"
 #include "core/scheduler.hpp"
 #include "fhe/circuits.hpp"
 #include "fhe/evaluator.hpp"
 #include "fhe/graph.hpp"
-#include "ntt/plan.hpp"
+#include "fhe/lowering.hpp"
 
 namespace hemul::fhe {
 namespace {
@@ -187,29 +189,24 @@ TEST_F(GraphTest, MuxSelectsAndLessThanCompares) {
   }
 }
 
-// --- parity: eager facade vs wavefront evaluator ---------------------------
+// --- parity: gate-at-a-time reference vs wavefront evaluator ---------------
 
-struct ParityOutputs {
-  std::vector<Ciphertext> values;
-};
-
-/// The eager reference: adder + equality + majority (and, for fast engines,
-/// the 2x2 word multiplier) through the Circuits facade.
-ParityOutputs eager_reference(Circuits& circuits, const EncryptedInt& cx,
-                              const EncryptedInt& cy, const Ciphertext& zero,
-                              const Ciphertext& one, bool include_multiply) {
-  ParityOutputs out;
-  const Circuits::AdderResult sum = circuits.add(cx, cy, zero);
-  out.values = sum.sum;
-  out.values.push_back(sum.carry_out);
-  out.values.push_back(circuits.equals(cx, cy, one));
-  out.values.push_back(circuits.gate_maj(cx[0], cy[0], cx[1]));
-  if (include_multiply) {
-    const EncryptedInt mx(cx.begin(), cx.begin() + 2);
-    const EncryptedInt my(cy.begin(), cy.begin() + 2);
-    const EncryptedInt prod = circuits.multiply(mx, my, zero);
-    out.values.insert(out.values.end(), prod.begin(), prod.end());
-  }
+/// The reference: adder + equality + majority + the 2x2 word multiplier,
+/// evaluated gate at a time through ReferenceBuilder.
+std::vector<Ciphertext> reference_outputs(const Dghv& scheme, const EncryptedInt& cx,
+                                          const EncryptedInt& cy, const Ciphertext& zero,
+                                          const Ciphertext& one) {
+  ReferenceBuilder ref{&scheme};
+  const std::span<const Ciphertext> a(cx);
+  const std::span<const Ciphertext> b(cy);
+  lowering::AddOut<ReferenceBuilder> sum = lowering::lower_add(ref, a, b, zero, {});
+  std::vector<Ciphertext> out = std::move(sum.sum);
+  out.push_back(sum.carry_out);
+  out.push_back(lowering::lower_equals(ref, a, b, one, {}));
+  out.push_back(lowering::majority(ref, cx[0], cy[0], cx[1]));
+  const std::vector<Ciphertext> prod =
+      lowering::lower_multiply(ref, a.first(2), b.first(2), zero, {});
+  out.insert(out.end(), prod.begin(), prod.end());
   return out;
 }
 
@@ -218,8 +215,7 @@ std::pair<Graph, std::vector<Wire>> graph_reference(const Dghv& scheme,
                                                     const EncryptedInt& cx,
                                                     const EncryptedInt& cy,
                                                     const Ciphertext& zero,
-                                                    const Ciphertext& one,
-                                                    bool include_multiply) {
+                                                    const Ciphertext& one) {
   Graph graph(scheme);
   const std::vector<Wire> a = graph.inputs(cx);
   const std::vector<Wire> b = graph.inputs(cy);
@@ -231,12 +227,10 @@ std::pair<Graph, std::vector<Wire>> graph_reference(const Dghv& scheme,
   outputs.push_back(sum.carry_out);
   outputs.push_back(graph.equals(a, b, wone));
   outputs.push_back(graph.gate_maj(a[0], b[0], a[1]));
-  if (include_multiply) {
-    const std::vector<Wire> ma(a.begin(), a.begin() + 2);
-    const std::vector<Wire> mb(b.begin(), b.begin() + 2);
-    const std::vector<Wire> prod = graph.multiply(ma, mb, wzero);
-    outputs.insert(outputs.end(), prod.begin(), prod.end());
-  }
+  const std::vector<Wire> ma(a.begin(), a.begin() + 2);
+  const std::vector<Wire> mb(b.begin(), b.begin() + 2);
+  const std::vector<Wire> prod = graph.multiply(ma, mb, wzero);
+  outputs.insert(outputs.end(), prod.begin(), prod.end());
   return {std::move(graph), std::move(outputs)};
 }
 
@@ -249,73 +243,32 @@ void expect_bit_exact(const std::vector<Ciphertext>& got,
   }
 }
 
-/// A downsized simulated accelerator (512-point pipeline, plan 8*8*8)
-/// that multiplies the toy scheme's 4096-bit ciphertexts exactly: the "hw"
-/// parity arms run the full circuit set in milliseconds instead of
-/// simulating the 64K-point paper machine per gate (which blows the CI
-/// per-test timeout under sanitizers).
-hw::AcceleratorConfig small_hw_config() {
-  hw::AcceleratorConfig config = hw::AcceleratorConfig::paper();
-  config.ssa = ssa::SsaParams::for_bits(4096);              // N = 512
-  config.ntt.plan = ntt::NttPlan::from_radices({8, 8, 8});
-  return config;
-}
-
-TEST(GraphParity, EagerMatchesWavefrontAcrossBackendsAndWorkers) {
+TEST(GraphParity, ReferenceMatchesWavefrontAcrossBackendsAndWorkers) {
   Dghv scheme(DghvParams::toy(), 4242);
   const Ciphertext zero = scheme.encrypt(false);
   const Ciphertext one = scheme.encrypt(true);
   const EncryptedInt cx = encrypt_int(scheme, 11, 4);
   const EncryptedInt cy = encrypt_int(scheme, 6, 4);
 
-  // The 2x2 multiplier exceeds the toy noise budget (eager semantics keep
+  // The 2x2 multiplier exceeds the toy noise budget (the reference keeps
   // computing; results are still deterministic and comparable bit for bit).
   const EvalOptions no_veto{.check_noise = false};
+  const std::vector<Ciphertext> reference = reference_outputs(scheme, cx, cy, zero, one);
+  auto [graph, outputs] = graph_reference(scheme, cx, cy, zero, one);
 
-  const auto make_engine = [](const std::string& name) {
-    return name == "hw"
-               ? std::make_shared<backend::HwBackend>(small_hw_config())
-               : backend::make_backend(name);
-  };
-
-  for (const std::string& name : backend::Registry::instance().names()) {
-    // Eager arm.
-    Circuits circuits(scheme, make_engine(name));
-    const ParityOutputs eager =
-        eager_reference(circuits, cx, cy, zero, one, /*include_multiply=*/true);
-
-    auto [graph, outputs] =
-        graph_reference(scheme, cx, cy, zero, one, /*include_multiply=*/true);
-
-    // Wavefront arm, engine path.
-    {
-      Evaluator evaluator(make_engine(name));
-      EvalReport report;
-      const std::vector<Ciphertext> wave =
-          evaluator.evaluate(graph, outputs, &report, no_veto);
-      expect_bit_exact(wave, eager.values, name + " engine path");
-      EXPECT_LT(report.wavefront_count(), report.and_gates) << name;
-    }
-
-    // Wavefront arm, scheduler path across PE-lane counts.
-    for (const unsigned workers : {1u, 4u}) {
-      core::Config config;
-      config.backend_name = name;
-      config.num_workers = workers;
-      if (name == "hw") config.hardware = small_hw_config();
-      core::Scheduler scheduler(config);
-      Evaluator evaluator(scheduler);
-      EvalReport report;
-      const std::vector<Ciphertext> wave =
-          evaluator.evaluate(graph, outputs, &report, no_veto);
-      expect_bit_exact(wave, eager.values,
-                       name + " scheduler x" + std::to_string(workers));
-      // Spectrum residency engages exactly on "ssa" lanes and must never
-      // change results (checked above) -- only the transform economy.
-      EXPECT_EQ(report.spectrum_resident, name == "ssa")
-          << name << " x" << workers;
-    }
-  }
+  testutil::for_each_execution_path(
+      [&](const std::string& name, unsigned workers, Evaluator& evaluator) {
+        const std::string what = name + " x" + std::to_string(workers);
+        EvalReport report;
+        const std::vector<Ciphertext> wave =
+            evaluator.evaluate(graph, outputs, &report, no_veto);
+        expect_bit_exact(wave, reference, what);
+        EXPECT_LT(report.wavefront_count(), report.and_gates) << what;
+        // Spectrum residency engages exactly on "ssa" lanes and the "ssa"
+        // engine, and must never change results (checked above) -- only
+        // the transform economy.
+        EXPECT_EQ(report.spectrum_resident, name == "ssa") << what;
+      });
 }
 
 // --- spectrum residency ----------------------------------------------------
@@ -328,8 +281,7 @@ TEST(GraphResidency, ResidentEvaluationSavesTransformsDeterministically) {
   const EncryptedInt cy = encrypt_int(scheme, 6, 4);
   const EvalOptions no_veto{.check_noise = false};
 
-  auto [graph, outputs] =
-      graph_reference(scheme, cx, cy, zero, one, /*include_multiply=*/true);
+  auto [graph, outputs] = graph_reference(scheme, cx, cy, zero, one);
 
   // Engine-path reference tally: the counters are coordinator-side facts of
   // the circuit, so every path and every lane count must reproduce them.
@@ -439,9 +391,80 @@ TEST(GraphNoise, MaxMultDepthIsTightAndVetoedBeforeExecution) {
   EXPECT_LE(failure_depth, depth + 16) << "squarings past the budget must eventually fail";
 }
 
+// --- lane faults -----------------------------------------------------------
+
+TEST(GraphFaults, LaneFaultThrowsAfterTheLevelDrainsAndTheSchedulerServesOn) {
+  // Lanes that throw: simulated accelerators sized for 4096-bit operands,
+  // handed ciphertexts four times that wide.
+  DghvParams wide = DghvParams::toy();
+  wide.gamma = 16384;
+  Dghv scheme(wide, 616);
+  Graph graph(scheme);
+  std::vector<Wire> outputs;
+  for (unsigned i = 0; i < 8; ++i) {
+    outputs.push_back(graph.gate_and(graph.input(scheme.encrypt(true)),
+                                     graph.input(scheme.encrypt(i % 2 == 0))));
+  }
+  std::string lane_message;
+  try {
+    (void)backend::HwBackend(testutil::small_hw_config())
+        .multiply(graph.input_value(Wire{0}).value, graph.input_value(Wire{1}).value);
+  } catch (const std::exception& e) {
+    lane_message = e.what();
+  }
+  ASSERT_FALSE(lane_message.empty()) << "the probe operands must overflow the small lanes";
+
+  const auto expect_lane_fault = [&](Evaluator& evaluator) {
+    try {
+      (void)evaluator.evaluate(graph, outputs);
+      ADD_FAILURE() << "a lane fault must surface from evaluate";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(lane_message), std::string::npos) << e.what();
+    }
+  };
+
+  // One engine: the tasks run inline and the fault still surfaces typed.
+  Evaluator inline_evaluator(std::make_shared<backend::HwBackend>(testutil::small_hw_config()));
+  expect_lane_fault(inline_evaluator);
+
+  core::Config config;
+  config.backend_name = "hw";
+  config.num_workers = 4;
+  config.hardware = testutil::small_hw_config();
+  core::Scheduler scheduler(config);
+  Evaluator evaluator(scheduler);
+  expect_lane_fault(evaluator);
+  // The throw came only after the level's tasks drained: every job the
+  // level submitted had already finished on its lane.
+  const core::SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.submitted, outputs.size());
+  EXPECT_EQ(stats.completed, stats.submitted);
+
+  // The same scheduler serves the next job.
+  Dghv toy(DghvParams::toy(), 617);
+  Graph next(toy);
+  const Wire both[] = {next.gate_and(next.input(toy.encrypt(true)), next.input(toy.encrypt(true)))};
+  const std::vector<Ciphertext> result = evaluator.evaluate(next, both);
+  ASSERT_EQ(result.size(), 1u);
+  EXPECT_TRUE(toy.decrypt(result[0]));
+}
+
+TEST(GraphFaults, LaneFaultWithAnEmptyMessageStillFaults) {
+  Dghv scheme(DghvParams::toy(), 618);
+  Graph graph(scheme);
+  const Wire outputs[] = {
+      graph.gate_and(graph.input(scheme.encrypt(true)), graph.input(scheme.encrypt(true)))};
+  Evaluator evaluator(std::make_shared<backend::FunctionBackend>(
+      [](const bigint::BigUInt&, const bigint::BigUInt&) -> bigint::BigUInt {
+        throw std::runtime_error("");
+      },
+      "silent-fault"));
+  EXPECT_THROW((void)evaluator.evaluate(graph, outputs), std::runtime_error);
+}
+
 // --- integration with the facade and the core layer ------------------------
 
-TEST(GraphFacade, AcceleratorEvaluateRunsWavefronts) {
+TEST(GraphFacade, EvaluatorRunsWavefrontsOnAcceleratorLanes) {
   Dghv scheme(DghvParams::toy(), 5150);
   Graph graph(scheme);
   EncryptedInt ca = encrypt_int(scheme, 9, 4);
@@ -455,31 +478,15 @@ TEST(GraphFacade, AcceleratorEvaluateRunsWavefronts) {
   config.backend_name = "ssa";
   config.num_workers = 2;
   core::Accelerator accel(config);
+  Evaluator evaluator(accel.scheduler());
   EvalReport report;
-  const std::vector<Ciphertext> results = accel.evaluate(graph, outputs, &report);
+  const std::vector<Ciphertext> results = evaluator.evaluate(graph, outputs, &report);
 
   EXPECT_EQ(report.and_gates, 8u);
   EXPECT_EQ(report.wavefront_count(), 4u);
   EXPECT_TRUE(report.decryptable);
   EncryptedInt enc_sum(results.begin(), results.begin() + 4);
   EXPECT_EQ(decrypt_int(scheme, enc_sum) | (scheme.decrypt(results[4]) ? 16u : 0u), 14u);
-}
-
-TEST(GraphFacade, AndGateCounterIsThreadSafe) {
-  Dghv scheme(DghvParams::toy(), 31);
-  Circuits circuits(scheme, backend::make_backend("classical"));
-  const Ciphertext ca = scheme.encrypt(true);
-  const Ciphertext cb = scheme.encrypt(false);
-
-  constexpr unsigned kPerThread = 16;
-  std::vector<std::thread> threads;
-  for (unsigned t = 0; t < 2; ++t) {
-    threads.emplace_back([&] {
-      for (unsigned i = 0; i < kPerThread; ++i) (void)circuits.gate_and(ca, cb);
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(circuits.and_gates_used(), 2 * kPerThread);
 }
 
 }  // namespace

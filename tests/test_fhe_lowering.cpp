@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "backend/registry.hpp"
+#include "backend_sweep.hpp"
 #include "core/scheduler.hpp"
 #include "fhe/circuits.hpp"
 #include "fhe/evaluator.hpp"
@@ -239,7 +242,7 @@ TEST(LoweringDepth, PredictedNoiseIsFiniteAndOrdered) {
   }
 }
 
-// --- ciphertext parity: eager vs wavefront, ripple vs carry-save -----------
+// --- ciphertext parity: reference vs wavefront, ripple vs carry-save -------
 
 /// Mid-size parameters (as in the wavefront bench): roomy enough that a
 /// 4-bit adder/comparator stays decryptable under either lowering, small
@@ -254,31 +257,30 @@ DghvParams parity_params() {
   return p;
 }
 
-TEST(LoweringParity, EagerAndWavefrontAreBitExactUnderBothStrategies) {
-  const DghvParams params = parity_params();
-  Dghv scheme(params, 0x10E1);
+TEST(LoweringParity, ReferenceAndWavefrontAreBitExactUnderBothStrategies) {
+  // Toy parameters keep every ciphertext inside the small "hw" lanes; the
+  // check is bit-for-bit parity, so the noise veto is off.
+  Dghv scheme(DghvParams::toy(), 0x10E1);
   const Ciphertext enc_zero = scheme.encrypt(false);
   const Ciphertext enc_one = scheme.encrypt(true);
-
-  core::Config config;
-  config.backend_name = "ssa";
-  config.num_workers = 2;
-  core::Scheduler scheduler(config);
+  const EvalOptions no_veto{.check_noise = false};
 
   const unsigned width = 4;
   const u64 x = 0xB, y = 0x6;
   for (const LoweringOptions options : {kRipple, kCarrySave}) {
     const EncryptedInt cx = encrypt_int(scheme, x, width);
     const EncryptedInt cy = encrypt_int(scheme, y, width);
+    const std::span<const Ciphertext> a(cx);
+    const std::span<const Ciphertext> b(cy);
 
-    // Eager facade on the scheme's own engine.
-    Circuits eager(scheme, options);
-    Circuits::AdderResult eager_sum = eager.add(cx, cy, enc_zero);
-    std::vector<Ciphertext> eager_out = std::move(eager_sum.sum);
-    eager_out.push_back(eager_sum.carry_out);
-    eager_out.push_back(eager.less_than(cx, cy, enc_zero, enc_one));
+    // Gate-at-a-time reference on the scheme's own engine.
+    ReferenceBuilder ref{&scheme};
+    lowering::AddOut<ReferenceBuilder> ref_sum = lowering::lower_add(ref, a, b, enc_zero, options);
+    std::vector<Ciphertext> reference = std::move(ref_sum.sum);
+    reference.push_back(ref_sum.carry_out);
+    reference.push_back(lowering::lower_less_than(ref, a, b, enc_zero, enc_one, options));
 
-    // Graph + wavefront evaluator over the scheduler.
+    // Graph + wavefront evaluator on every execution path.
     Graph graph(scheme, options);
     const std::vector<Wire> wx = graph.inputs(cx);
     const std::vector<Wire> wy = graph.inputs(cy);
@@ -289,14 +291,19 @@ TEST(LoweringParity, EagerAndWavefrontAreBitExactUnderBothStrategies) {
     outputs.push_back(g_sum.carry_out);
     outputs.push_back(graph.less_than(wx, wy, zero, one));
 
-    Evaluator evaluator(scheduler);
-    const std::vector<Ciphertext> wave = evaluator.evaluate(graph, outputs);
-
-    ASSERT_EQ(wave.size(), eager_out.size());
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      EXPECT_EQ(wave[i].value, eager_out[i].value)
-          << "output " << i << " " << lowering_strategy_name(options.strategy);
-    }
+    testutil::for_each_execution_path(
+        [&](const std::string& name, unsigned workers, Evaluator& evaluator) {
+          const std::vector<Ciphertext> wave =
+              evaluator.evaluate(graph, outputs, nullptr, no_veto);
+          ASSERT_EQ(wave.size(), reference.size());
+          for (std::size_t i = 0; i < wave.size(); ++i) {
+            EXPECT_EQ(wave[i].value, reference[i].value)
+                << "output " << i << " " << lowering_strategy_name(options.strategy) << " "
+                << name << " x" << workers;
+            EXPECT_DOUBLE_EQ(wave[i].noise_bits, reference[i].noise_bits)
+                << "output " << i << " " << name << " x" << workers;
+          }
+        });
   }
 }
 
@@ -321,11 +328,20 @@ TEST(LoweringParity, StrategiesDecryptIdenticallyOnEveryBackend) {
     bool lts[2] = {false, false};
     int slot = 0;
     for (const LoweringOptions options : {kRipple, kCarrySave}) {
-      Circuits circuits(scheme, backend::make_backend(name), options);
-      Circuits::AdderResult r = circuits.add(cx, cy, enc_zero);
-      sums[slot] = decrypt_int(scheme, r.sum) |
-                   (scheme.decrypt(r.carry_out) ? u64{1} << width : 0);
-      lts[slot] = scheme.decrypt(circuits.less_than(cx, cy, enc_zero, enc_one));
+      Graph graph(scheme, options);
+      const std::vector<Wire> wx = graph.inputs(cx);
+      const std::vector<Wire> wy = graph.inputs(cy);
+      const Wire zero = graph.input(enc_zero);
+      Graph::AddResult r = graph.add(wx, wy, zero);
+      std::vector<Wire> outputs = std::move(r.sum);
+      outputs.push_back(r.carry_out);
+      outputs.push_back(graph.less_than(wx, wy, zero, graph.input(enc_one)));
+
+      Evaluator evaluator(backend::make_backend(name));
+      const std::vector<Ciphertext> out = evaluator.evaluate(graph, outputs);
+      sums[slot] = decrypt_int(scheme, EncryptedInt(out.begin(), out.begin() + width)) |
+                   (scheme.decrypt(out[width]) ? u64{1} << width : 0);
+      lts[slot] = scheme.decrypt(out[width + 1]);
       ++slot;
     }
     EXPECT_EQ(sums[0], sums[1]) << "backend " << name;

@@ -6,12 +6,12 @@
 #include <thread>
 #include <vector>
 
+#include "backend/hw_backend.hpp"
 #include "backend/registry.hpp"
+#include "backend_sweep.hpp"
 #include "bigint/mul.hpp"
 #include "core/accelerator.hpp"
 #include "core/scheduler.hpp"
-#include "fhe/circuits.hpp"
-#include "fhe/dghv.hpp"
 #include "util/rng.hpp"
 
 namespace hemul::core {
@@ -19,10 +19,12 @@ namespace {
 
 using bigint::BigUInt;
 
+/// "hw" lanes run the downsized accelerator (operands up to 4096 bits).
 Config config_for(std::string backend_name, unsigned workers) {
   Config config;
   config.backend_name = std::move(backend_name);
   config.num_workers = workers;
+  if (config.backend_name == "hw") config.hardware = testutil::small_hw_config();
   return config;
 }
 
@@ -40,13 +42,10 @@ std::vector<backend::MulJob> shared_operand_jobs(util::Rng& rng, std::size_t n,
 TEST(Scheduler, MatchesSerialExecutionAcrossRegisteredBackends) {
   util::Rng rng(0x5EDC);
   for (const std::string& name : backend::Registry::instance().names()) {
-    // The simulated accelerator runs the full 64K-point pipeline per
-    // product, so it gets a smaller batch.
-    const std::size_t jobs_n = name == "hw" ? 2 : 6;
-    const std::size_t bits = name == "hw" ? 30000 : 2500;
-
+    // 2500-bit operands fit every engine, the small "hw" lanes included.
+    const std::size_t bits = 2500;
     std::vector<backend::MulJob> jobs;
-    for (std::size_t i = 0; i < jobs_n; ++i) {
+    for (std::size_t i = 0; i < 6; ++i) {
       jobs.emplace_back(BigUInt::random_bits(rng, bits), BigUInt::random_bits(rng, bits));
     }
 
@@ -54,7 +53,10 @@ TEST(Scheduler, MatchesSerialExecutionAcrossRegisteredBackends) {
     EXPECT_EQ(scheduler.num_workers(), 3u) << name;
     std::vector<std::future<BigUInt>> futures = scheduler.submit_batch(jobs);
 
-    const auto serial = backend::make_backend(name);
+    // The serial reference runs on the lanes' own hw config.
+    const std::shared_ptr<backend::MultiplierBackend> serial =
+        name == "hw" ? std::make_shared<backend::HwBackend>(testutil::small_hw_config())
+                     : backend::make_backend(name);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       EXPECT_EQ(futures[i].get(), serial->multiply(jobs[i].first, jobs[i].second))
           << name << " job " << i;
@@ -175,8 +177,8 @@ TEST(Scheduler, JobExceptionPropagatesThroughFutureAndLanesSurvive) {
 
 TEST(Scheduler, HwLanesAccumulateModeledCycles) {
   util::Rng rng(0x4A1C);
-  const BigUInt a = BigUInt::random_bits(rng, 20000);
-  const BigUInt b = BigUInt::random_bits(rng, 20000);
+  const BigUInt a = BigUInt::random_bits(rng, 4000);
+  const BigUInt b = BigUInt::random_bits(rng, 4000);
 
   Scheduler scheduler(config_for("hw", 2));
   EXPECT_EQ(scheduler.submit_multiply(a, b).get(), bigint::mul_karatsuba(a, b));
@@ -245,36 +247,6 @@ TEST(Accelerator, SubmitApiMatchesSynchronousMultiply) {
   EXPECT_EQ(futures[0].get(), expected);
   EXPECT_EQ(futures[1].get(), expected);
   EXPECT_EQ(futures[2].get(), bigint::mul_schoolbook(a, a));
-}
-
-TEST(Circuits, WordMultiplyFansOutThroughScheduler) {
-  fhe::Dghv scheme(fhe::DghvParams::deep(), 11);
-  const auto zero = scheme.encrypt(false);
-  const fhe::EncryptedInt a = fhe::encrypt_int(scheme, 5, 3);
-  const fhe::EncryptedInt b = fhe::encrypt_int(scheme, 6, 3);
-
-  // Serial reference on the same explicit engine.
-  fhe::Circuits serial(scheme, backend::make_backend("classical"));
-  const fhe::EncryptedInt expected = serial.multiply(a, b, zero);
-
-  Scheduler scheduler(config_for("classical", 3));
-  fhe::Circuits concurrent(scheme, scheduler);
-  const fhe::EncryptedInt product = concurrent.multiply(a, b, zero);
-
-  EXPECT_EQ(fhe::decrypt_int(scheme, product), 30u);
-  EXPECT_EQ(concurrent.and_gates_used(), serial.and_gates_used());
-  ASSERT_EQ(product.size(), expected.size());
-  for (std::size_t i = 0; i < product.size(); ++i) {
-    EXPECT_EQ(product[i].value, expected[i].value) << "bit " << i;
-  }
-
-  // gate_and_batch also routes through the scheduler.
-  const std::vector<std::pair<fhe::Ciphertext, fhe::Ciphertext>> pairs = {
-      {a[0], b[0]}, {a[1], b[1]}};
-  const std::vector<fhe::Ciphertext> anded = concurrent.gate_and_batch(pairs);
-  ASSERT_EQ(anded.size(), 2u);
-  EXPECT_EQ(scheme.decrypt(anded[0]), scheme.decrypt(a[0]) && scheme.decrypt(b[0]));
-  EXPECT_EQ(scheme.decrypt(anded[1]), scheme.decrypt(a[1]) && scheme.decrypt(b[1]));
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 #include <thread>
 #include <vector>
 
+#include "backend/hw_backend.hpp"
 #include "backend/registry.hpp"
+#include "backend_sweep.hpp"
 #include "fhe/circuits.hpp"
 #include "fhe/evaluator.hpp"
 #include "fhe/serialize.hpp"
@@ -143,6 +145,9 @@ TEST(ServiceTest, GraphRequestBitExactAgainstInProcessForEveryBackend) {
     ServiceOptions options;
     options.config.backend_name = name;
     options.config.num_workers = 1;
+    // "hw" lanes run the downsized accelerator, which holds the toy
+    // scheme's 4096-bit ciphertexts; the in-process reference uses it too.
+    if (name == "hw") options.config.hardware = testutil::small_hw_config();
     Service service(options);
     const SessionId session = service.create_session(DghvParams::toy(), 4242);
     fhe::Dghv& scheme = service.scheme(session);
@@ -170,7 +175,9 @@ TEST(ServiceTest, GraphRequestBitExactAgainstInProcessForEveryBackend) {
     ASSERT_TRUE(response.ok()) << name << ": " << response.error;
 
     // In-process reference on the same engine family the service lanes use.
-    fhe::Evaluator evaluator(backend::make_backend(name));
+    fhe::Evaluator evaluator(name == "hw"
+                                 ? std::make_shared<backend::HwBackend>(options.config.hardware)
+                                 : backend::make_backend(name));
     const std::vector<Ciphertext> direct = evaluator.evaluate(graph, outputs);
     const std::vector<Ciphertext> remote = fhe::decode_ciphertexts(response.outputs);
     ASSERT_EQ(remote.size(), direct.size()) << name;
