@@ -222,9 +222,6 @@ int cmd_throughput(const std::string& backend_name, unsigned workers, std::size_
     std::printf("\n");
   }
   if (wall_ms > 0.0) std::printf("parallelism  : %.2fx (lane-busy/wall)\n", busy_ms / wall_ms);
-  std::printf("cache        : %llu hits, %llu misses\n",
-              static_cast<unsigned long long>(stats.cache.hits),
-              static_cast<unsigned long long>(stats.cache.misses));
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (products[i] != bigint::mul_auto_classical(jobs[i].first, jobs[i].second)) {
@@ -400,9 +397,6 @@ int cmd_circuit(const std::string& backend_name, unsigned workers, const std::st
                 busy_ms > 0.0 ? 100.0 * lane.busy_ms / busy_ms : 0.0);
     std::printf("\n");
   }
-  std::printf("cache        : %llu hits, %llu misses (shared across lanes)\n",
-              static_cast<unsigned long long>(stats.cache.hits),
-              static_cast<unsigned long long>(stats.cache.misses));
 
   fhe::EncryptedInt out_int(results.begin(), results.end());
   const u64 decrypted = fhe::decrypt_int(*scheme, out_int);
@@ -495,9 +489,6 @@ int cmd_service(const std::string& backend_name, unsigned workers, unsigned tena
               stats.batches_submitted < requests ? "coalesced across tenants"
                                                  : "no cross-request sharing");
   std::printf("coalescing   : %.2f requests/batch mean\n", stats.coalescing());
-  std::printf("cache        : %llu hits, %llu misses (shared across lanes)\n",
-              static_cast<unsigned long long>(stats.cache_hits),
-              static_cast<unsigned long long>(stats.cache_misses));
   for (const core::LaneStats& lane : stats.lanes) {
     std::printf("  lane %-2u    : %llu jobs, %.1f ms busy\n", lane.lane,
                 static_cast<unsigned long long>(lane.jobs), lane.busy_ms);

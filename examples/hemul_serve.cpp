@@ -89,8 +89,6 @@ void print_stats_json(std::FILE* out, const core::Service& service) {
                "  \"wavefronts\": %llu,\n"
                "  \"batches_submitted\": %llu,\n"
                "  \"coalescing\": %.3f,\n"
-               "  \"cache_hits\": %llu,\n"
-               "  \"cache_misses\": %llu,\n"
                "  \"lanes\": [\n",
                stats.sessions, static_cast<unsigned long long>(stats.submitted),
                static_cast<unsigned long long>(stats.completed),
@@ -98,9 +96,7 @@ void print_stats_json(std::FILE* out, const core::Service& service) {
                static_cast<unsigned long long>(stats.bad_requests),
                static_cast<unsigned long long>(stats.and_gates),
                static_cast<unsigned long long>(stats.wavefronts),
-               static_cast<unsigned long long>(stats.batches_submitted), stats.coalescing(),
-               static_cast<unsigned long long>(stats.cache_hits),
-               static_cast<unsigned long long>(stats.cache_misses));
+               static_cast<unsigned long long>(stats.batches_submitted), stats.coalescing());
   for (std::size_t i = 0; i < stats.lanes.size(); ++i) {
     const core::LaneStats& lane = stats.lanes[i];
     std::fprintf(out, "    {\"lane\": %u, \"jobs\": %llu, \"busy_ms\": %.3f}%s\n", lane.lane,

@@ -36,11 +36,7 @@ BigUInt SsaBackend::multiply(const BigUInt& a, const BigUInt& b) {
   const ssa::SsaParams params = params_for(std::max(a.bit_length(), b.bit_length()));
   ssa::SsaStats call_stats;
   BigUInt out;
-  if (shared_cache_ != nullptr) {
-    out = ssa::multiply_cached(a, b, params, *shared_cache_, workspace(), &call_stats);
-  } else {
-    ssa::multiply_into(out, a, b, params, workspace(), &call_stats);
-  }
+  ssa::multiply_into(out, a, b, params, workspace(), &call_stats);
   accumulate(call_stats);
   return out;
 }
@@ -50,11 +46,7 @@ BigUInt SsaBackend::square(const BigUInt& a) {
   const ssa::SsaParams params = params_for(a.bit_length());
   ssa::SsaStats call_stats;
   BigUInt out;
-  if (shared_cache_ != nullptr) {
-    out = ssa::multiply_cached(a, a, params, *shared_cache_, workspace(), &call_stats);
-  } else {
-    ssa::square_into(out, a, params, workspace(), &call_stats);
-  }
+  ssa::square_into(out, a, params, workspace(), &call_stats);
   accumulate(call_stats);
   return out;
 }

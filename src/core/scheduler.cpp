@@ -15,7 +15,6 @@ using bigint::BigUInt;
 
 Scheduler::Scheduler(Config config) : config_(std::move(config)) {
   config_.validate();
-  cache_ = std::make_shared<ssa::ConcurrentSpectrumCache>();
 
   const unsigned workers = config_.resolved_num_workers();
   lane_backends_.reserve(workers);
@@ -48,14 +47,11 @@ std::shared_ptr<backend::MultiplierBackend> Scheduler::make_lane_backend() {
     return std::make_shared<backend::HwBackend>(config_.hardware);
   }
   if (name == "ssa") {
-    // Adaptive software SSA per lane (the registry engine's semantics);
-    // all lanes share one spectrum cache, keyed by operand *and* packing
-    // geometry, so mixed operand sizes stay exact. Each lane owns a
-    // private buffer arena (the software mirror of a PE's banked SRAM):
-    // steady-state jobs reuse it instead of allocating, and lanes never
-    // contend on buffers.
+    // Adaptive software SSA per lane (the registry engine's semantics).
+    // Each lane owns a private buffer arena (the software mirror of a PE's
+    // banked SRAM): steady-state jobs reuse it instead of allocating, and
+    // lanes never contend on buffers.
     auto ssa = std::make_shared<backend::SsaBackend>();
-    ssa->set_shared_cache(cache_);
     ssa->set_workspace(std::make_shared<ssa::Workspace>());
     return ssa;
   }
@@ -158,15 +154,8 @@ void Scheduler::wait_idle() {
 }
 
 SchedulerStats Scheduler::stats() const {
-  SchedulerStats snapshot;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    snapshot.lanes = lane_stats_;
-    snapshot.submitted = submitted_;
-    snapshot.completed = completed_;
-  }
-  snapshot.cache = cache_->stats();
-  return snapshot;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return {lane_stats_, submitted_, completed_};
 }
 
 }  // namespace hemul::core

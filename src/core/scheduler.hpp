@@ -12,7 +12,6 @@
 
 #include "backend/backend.hpp"
 #include "core/config.hpp"
-#include "ssa/spectrum_cache.hpp"
 
 namespace hemul::core {
 
@@ -36,9 +35,6 @@ struct SchedulerStats {
   /// in its lane's `busy_ms` before its future becomes ready, so stats()
   /// read after future.get() always includes that job.
   u64 completed = 0;
-  /// Shared spectrum cache accounting ("ssa" lanes): hits + misses equals
-  /// the forward-spectrum lookups across all lanes.
-  ssa::ConcurrentSpectrumCache::Stats cache;
 };
 
 /// Concurrent multi-PE execution layer: N worker threads, each owning one
@@ -49,9 +45,10 @@ struct SchedulerStats {
 /// Lane engines follow Config::resolved_backend_name():
 ///   - "hw"  -> one simulated accelerator per lane, built from
 ///              config.hardware (per-lane cycle accounting in LaneStats);
-///   - "ssa" -> the adaptive software SSA engine per lane, all lanes
-///              sharing one thread-safe spectrum cache, so a repeated
-///              operand is forward-transformed once process-wide;
+///   - "ssa" -> the adaptive software SSA engine per lane, each with its
+///              own workspace and nothing shared between lanes: a job
+///              allocates only its product, and spectra that outlive one
+///              job belong to the fhe::EvalState that entered them;
 ///   - any other registry name -> one fresh instance per lane.
 ///
 /// Results are bit-exact and deterministic regardless of num_workers: jobs
@@ -109,9 +106,6 @@ class Scheduler {
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
-  /// The spectrum cache shared by the "ssa" lanes.
-  [[nodiscard]] ssa::ConcurrentSpectrumCache& spectrum_cache() noexcept { return *cache_; }
-
  private:
   /// A queued job, run on a lane against its backend: it computes the job,
   /// calls `book` (which records the job in the lane's counters) and only
@@ -122,7 +116,6 @@ class Scheduler {
   void worker_loop(unsigned lane);
 
   Config config_;
-  std::shared_ptr<ssa::ConcurrentSpectrumCache> cache_;
   std::vector<std::shared_ptr<backend::MultiplierBackend>> lane_backends_;
 
   mutable std::mutex mutex_;

@@ -1,7 +1,6 @@
 #include "fhe/evaluator.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <future>
@@ -28,10 +27,6 @@ std::string format_bits(double bits) {
   std::snprintf(buf, sizeof buf, "%.1f", bits);
   return buf;
 }
-
-/// Registry key namespaces of concurrent resident evaluations never
-/// collide: each EvalState draws a distinct uid.
-std::atomic<u64> g_resident_uid{1};
 
 }  // namespace
 
@@ -129,53 +124,30 @@ std::vector<Ciphertext> EvalState::outputs() const {
 
 // --- spectrum residency ----------------------------------------------------
 
-u64 EvalState::local_key(u32 wire, unsigned kind) const noexcept {
-  // kind 0: operand spectrum (forward of the reduced wire value, the only
-  // kind that may multiply); kind 1: product/sum spectrum (raw, unreduced).
-  return (static_cast<u64>(wire) << 1) | kind;
-}
-
-u64 EvalState::registry_key(u32 wire, unsigned kind) const noexcept {
-  return (uid_ << 33) | local_key(wire, kind);
-}
-
 void EvalState::publish(u32 wire, unsigned kind, ssa::SpectrumHandle spectrum) {
-  const bool fresh = resident_cache_.find_resident(local_key(wire, kind)) == nullptr;
-  if (registry_ != nullptr) registry_->put_resident(registry_key(wire, kind), spectrum);
-  resident_cache_.insert_resident(local_key(wire, kind), std::move(spectrum));
-  if (fresh) {
+  ssa::SpectrumHandle& slot = spectra_[kind][wire];
+  if (slot == nullptr) {
     ++resident_now_;
     rstats_.resident_peak = std::max<u64>(rstats_.resident_peak, resident_now_);
   }
+  slot = std::move(spectrum);
 }
 
 void EvalState::evict(u32 wire, unsigned kind) {
-  if (resident_cache_.evict_resident(local_key(wire, kind))) {
-    --resident_now_;
-    ++rstats_.spectra_evicted;
-    if (registry_ != nullptr) registry_->evict_resident(registry_key(wire, kind));
-  }
+  ssa::SpectrumHandle& slot = spectra_[kind][wire];
+  if (slot == nullptr) return;
+  slot.reset();
+  --resident_now_;
+  ++rstats_.spectra_evicted;
 }
 
-EvalState::~EvalState() {
-  // A completed evaluation has already evicted everything level by level;
-  // an aborted one (noise veto, lane fault) must not leak registry entries.
-  if (registry_ == nullptr || resident_now_ == 0) return;
-  for (u32 id = 0; id < static_cast<u32>(graph_->size()); ++id) {
-    evict(id, 0);
-    evict(id, 1);
-  }
-}
-
-void EvalState::enable_residency(const ssa::SsaParams& params,
-                                 ssa::ConcurrentSpectrumCache* registry) {
+void EvalState::enable_residency(const ssa::SsaParams& params) {
   params_ = params;
   params_.validate();
-  registry_ = registry;
-  if (registry_ != nullptr) uid_ = g_resident_uid.fetch_add(1, std::memory_order_relaxed);
   residency_ = true;
 
   const u32 count = static_cast<u32>(graph_->size());
+  for (std::vector<ssa::SpectrumHandle>& by_wire : spectra_) by_wire.assign(count, nullptr);
   folded_.assign(count, 0);
   needs_value_.assign(count, 0);
 
@@ -252,7 +224,7 @@ void EvalState::enable_residency(const ssa::SsaParams& params,
 
   // Materialization needs + per-level eviction schedules (a spectrum dies
   // right after its last consuming wavefront, so single-use operands leave
-  // the caches with the wavefront that consumed them).
+  // with the wavefront that consumed them).
   evict_operand_.assign(max_level_ + 1, {});
   evict_spectrum_.assign(max_level_ + 1, {});
   std::vector<unsigned> last_operand(count, 0);
@@ -286,9 +258,7 @@ std::vector<u32> EvalState::spectrum_plan(unsigned level) const {
   for (const u32 id : wavefront(level)) {
     const auto [a, b] = graph_->operands(Wire{id});
     for (const u32 operand : {a.id, b.id}) {
-      if (resident_cache_.find_resident(local_key(operand, 0)) == nullptr) {
-        plan.push_back(operand);
-      }
+      if (spectra_[0][operand] == nullptr) plan.push_back(operand);
     }
   }
   std::sort(plan.begin(), plan.end());
@@ -302,9 +272,9 @@ void EvalState::install_operand_spectrum(u32 wire, ssa::SpectrumHandle spectrum)
 }
 
 ssa::SpectrumHandle EvalState::operand_spectrum(u32 wire) const {
-  const ssa::SpectrumHandle* handle = resident_cache_.find_resident(local_key(wire, 0));
+  const ssa::SpectrumHandle& handle = spectra_[0][wire];
   HEMUL_CHECK_MSG(handle != nullptr, "EvalState: missing operand spectrum");
-  return *handle;
+  return handle;
 }
 
 void EvalState::install_product(u32 id, ssa::SpectrumHandle spectrum) {
@@ -342,9 +312,9 @@ std::vector<u32> EvalState::materialize_plan(unsigned level) const {
 }
 
 ssa::SpectrumHandle EvalState::wire_spectrum(u32 id) const {
-  const ssa::SpectrumHandle* handle = resident_cache_.find_resident(local_key(id, 1));
+  const ssa::SpectrumHandle& handle = spectra_[1][id];
   HEMUL_CHECK_MSG(handle != nullptr, "EvalState: missing product spectrum");
-  return *handle;
+  return handle;
 }
 
 void EvalState::apply_materialized(u32 id, bigint::BigUInt raw) {
@@ -550,8 +520,7 @@ std::vector<Ciphertext> Evaluator::evaluate(const Graph& graph,
                             : dynamic_cast<backend::SsaBackend*>(engine.get()) != nullptr;
   if (resident) {
     state.enable_residency(ssa::SsaParams::for_bits(scheme.public_key().x0.bit_length(),
-                                                    ssa::kResidentHeadroomBits),
-                           scheduler_ != nullptr ? &scheduler_->spectrum_cache() : nullptr);
+                                                    ssa::kResidentHeadroomBits));
   }
   if (report != nullptr) report->spectrum_resident = resident;
 
@@ -561,7 +530,7 @@ std::vector<Ciphertext> Evaluator::evaluate(const Graph& graph,
                                 for (std::size_t k = 0; k < count; ++k) body(k, *engine);
                               });
   EvalState* const stepping[] = {&state};
-  // Per-wavefront lane/cache numbers are before/after deltas of the
+  // Per-wavefront lane numbers are before/after deltas of the
   // scheduler-wide stats (a lane books each job before its future is
   // satisfied, so the delta is complete once the round drained). They are
   // observability-only: collect them just when a report was asked for.
@@ -602,10 +571,6 @@ std::vector<Ciphertext> Evaluator::evaluate(const Graph& graph,
       for (std::size_t lane = 0; lane < after.lanes.size(); ++lane) {
         const u64 jobs_before = lane < before.lanes.size() ? before.lanes[lane].jobs : 0;
         if (after.lanes[lane].jobs > jobs_before) ++wf.lanes_used;
-      }
-      if (!resident) {
-        wf.cache_hits = after.cache.hits - before.cache.hits;
-        wf.cache_misses = after.cache.misses - before.cache.misses;
       }
     }
     report->and_gates += wf.and_gates;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <span>
@@ -9,7 +10,7 @@
 
 #include "backend/backend.hpp"
 #include "fhe/graph.hpp"
-#include "ssa/spectrum_cache.hpp"
+#include "ssa/resident.hpp"
 
 namespace hemul::core {
 class Scheduler;
@@ -37,16 +38,16 @@ struct ResidencyStats {
 
 /// Execution statistics of one wavefront (all independent AND gates at one
 /// multiplicative depth, issued as one round of lane tasks). On the
-/// scheduler path lanes_used (and, off residency, the cache figures) are
-/// before/after deltas of the scheduler-wide counters, so they are accurate
-/// only when the scheduler is not shared concurrently during the evaluation
-/// (pass no report to skip collecting them entirely).
+/// scheduler path lanes_used is a before/after delta of the scheduler-wide
+/// lane counters, so it is accurate only when the scheduler is not shared
+/// concurrently during the evaluation (pass no report to skip collecting
+/// it entirely).
 struct WavefrontStats {
   unsigned level = 0;  ///< multiplicative depth of the wavefront
   u64 and_gates = 0;   ///< gates batched at this depth
-  /// Spectrum-cache accounting: resident evaluations count spectra entered
-  /// (misses) and re-consumed (hits); eager evaluations on a scheduler read
-  /// the shared ConcurrentSpectrumCache delta (0 on a single engine).
+  /// Residency semantics: a miss enters an operand spectrum, a hit
+  /// re-consumes one already resident (each gate touches two operands).
+  /// Both read 0 when the evaluation did not run resident.
   u64 cache_hits = 0;
   u64 cache_misses = 0;
   unsigned lanes_used = 0;  ///< PE lanes that ran >= 1 task (1 on a single engine)
@@ -179,17 +180,12 @@ class EvalState {
   /// speak spectrum handles only -- SsaBackend / "ssa" scheduler lanes) and
   /// plans residency: decides per wire whether it stays in the spectrum
   /// domain (static reduction-bound analysis included; over-bound XOR folds
-  /// are demoted to eager and counted as bound_flushes). `registry`, when
-  /// given, mirrors resident entries into the shared concurrent cache under
-  /// a per-evaluation uid so cross-request residency stays observable and
-  /// bounded.
-  void enable_residency(const ssa::SsaParams& params,
-                        ssa::ConcurrentSpectrumCache* registry = nullptr);
+  /// are demoted to eager and counted as bound_flushes). The state owns
+  /// its wire spectra; each leaves right after its last consuming level.
+  void enable_residency(const ssa::SsaParams& params);
   [[nodiscard]] bool residency_enabled() const noexcept { return residency_; }
 
   [[nodiscard]] const ResidencyStats& residency_stats() const noexcept { return rstats_; }
-
-  ~EvalState();
 
  private:
   friend void step_level(std::span<EvalState* const> states, const LaneRunner& run);
@@ -224,8 +220,6 @@ class EvalState {
   /// (single-use operands leave after the wavefront that consumed them).
   void evict_spent_spectra(unsigned level);
 
-  [[nodiscard]] u64 local_key(u32 wire, unsigned kind) const noexcept;
-  [[nodiscard]] u64 registry_key(u32 wire, unsigned kind) const noexcept;
   void publish(u32 wire, unsigned kind, ssa::SpectrumHandle spectrum);
   void evict(u32 wire, unsigned kind);
 
@@ -245,14 +239,15 @@ class EvalState {
   // Spectrum residency (set up by enable_residency).
   bool residency_ = false;
   ssa::SsaParams params_;
-  ssa::ConcurrentSpectrumCache* registry_ = nullptr;
-  u64 uid_ = 0;  ///< registry key namespace of this evaluation
-  ssa::SpectrumCache resident_cache_;  ///< wire-keyed spectra of this evaluation
+  /// Resident spectra by kind, then wire id: kind 0 holds operand spectra
+  /// (forward of the reduced wire value, the only kind that may multiply),
+  /// kind 1 product/sum spectra (raw, unreduced). Empty handle = absent.
+  std::array<std::vector<ssa::SpectrumHandle>, 2> spectra_;
   std::vector<char> folded_;       ///< XOR swept in the spectrum domain
   std::vector<char> needs_value_;  ///< wire consumed outside the domain
   std::vector<std::vector<u32>> evict_operand_;   ///< kind-0 eviction per level
   std::vector<std::vector<u32>> evict_spectrum_;  ///< kind-1 eviction per level
-  std::size_t resident_now_ = 0;  ///< current local resident entries
+  std::size_t resident_now_ = 0;  ///< spectra currently resident
   ResidencyStats rstats_;
 };
 

@@ -1,7 +1,7 @@
 #include "hw/accel/accelerator.hpp"
 
+#include "ssa/batch.hpp"
 #include "ssa/pack.hpp"
-#include "ssa/spectrum_cache.hpp"
 #include "util/check.hpp"
 
 namespace hemul::hw {

@@ -21,8 +21,8 @@ namespace hemul::ntt {
 /// order" -- the row-major n2 x n1 layout with eng[m * n1 + j] =
 /// X[bitrev_n2(m) * n1 + bitrev_n1(j)], which the pass structure produces
 /// naturally (no permutation passes at all). That order is distinct from
-/// Radix2Ntt's engine order; spectrum caches key entries by layout so the
-/// two never mix.
+/// Radix2Ntt's engine order; ssa::SpectrumDomain binds one engine per
+/// geometry, so the two never mix.
 /// forward()/inverse() provide natural order for golden tests.
 ///
 /// All internal passes run on the redundant representation of

@@ -24,7 +24,7 @@ namespace hemul::ntt {
 ///     layout the decimation-in-frequency sweep produces naturally. No
 ///     permutation passes run at all; engine-order spectra are only
 ///     meaningful to this engine's own pointwise/inverse path, which is
-///     exactly how the SSA multiplier and its spectrum caches use them.
+///     exactly how the SSA multiplier and ssa::SpectrumDomain use them.
 class Radix2Ntt {
  public:
   /// Prepares twiddle tables for length n.

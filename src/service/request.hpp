@@ -205,9 +205,12 @@ struct ServiceStats {
   std::size_t queue_depth = 0;      ///< submitted, not yet admitted
   std::size_t active_requests = 0;  ///< admitted, still executing
   std::size_t sessions = 0;
-  /// Shared spectrum-cache and PE-lane accounting of the owned scheduler.
+  /// Reserved, always 0 (kept for the FleetStats wire layout). Served
+  /// requests reuse spectra through residency, counted per request in
+  /// transforms_executed / transforms_avoided.
   u64 cache_hits = 0;
   u64 cache_misses = 0;
+  /// PE-lane accounting of the owned scheduler.
   std::vector<LaneStats> lanes;
 
   /// Mean requests sharing one scheduler batch (0 when nothing ran).

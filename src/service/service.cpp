@@ -228,8 +228,6 @@ ServiceStats Service::stats() const {
   snapshot.queue_depth = pending_.size();
   snapshot.active_requests = in_flight_ - pending_.size();
   snapshot.sessions = sessions_.size();
-  snapshot.cache_hits = sched.cache.hits;
-  snapshot.cache_misses = sched.cache.misses;
   snapshot.lanes = sched.lanes;
   return snapshot;
 }
@@ -416,14 +414,12 @@ std::unique_ptr<Service::Active> Service::admit(Pending&& pending) {
   }
 
   // "ssa" lanes speak spectrum handles: serve this request through
-  // spectrum-resident rounds, mirroring its wire spectra into the
-  // scheduler's shared cache (per-request uid-keyed, so tenants with
-  // different key sizes never collide).
+  // spectrum-resident rounds. The request's state owns its wire spectra,
+  // so tenants with different key sizes never share one.
   if (scheduler_.lanes_support_spectra()) {
     active->state->enable_residency(
         ssa::SsaParams::for_bits(active->session->scheme.public_key().x0.bit_length(),
-                                 ssa::kResidentHeadroomBits),
-        &scheduler_.spectrum_cache());
+                                 ssa::kResidentHeadroomBits));
   }
   return active;
 }
@@ -468,7 +464,7 @@ void Service::run_round(std::vector<std::unique_ptr<Active>>& active) {
   }
   // Fuse the fronts: every request's next level goes out phase by phase as
   // ONE round of lane tasks, so independent tenants at the same depth share
-  // the scheduler (and the spectrum cache). A lane exception fails only
+  // the scheduler. A lane exception fails only
   // the request it belongs to; the coordinator and every other tenant live
   // on.
   std::vector<fhe::EvalState*> states;

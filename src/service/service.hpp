@@ -72,7 +72,7 @@ class SessionTableFull : public std::runtime_error {
 /// request one wavefront at a time and fuses the fronts -- all ready AND
 /// gates across *all* tenants go to the scheduler as ONE batch per round,
 /// so independent requests at the same multiplicative depth share scheduler
-/// batches (and the spectrum cache) instead of being serialized per caller.
+/// batches instead of being serialized per caller.
 /// stats().batches_submitted < requests whenever tenants overlap.
 ///
 /// Thread safety: create_session / submit / stats are safe from any
@@ -167,7 +167,7 @@ class Service {
   bool stop_ = false;
   bool accepting_ = true;  ///< cleared by stop_accepting()
 
-  // Service-wide counters (under mutex_; lane/cache stats live in the
+  // Service-wide counters (under mutex_; lane stats live in the
   // scheduler and are merged into stats() snapshots).
   ServiceStats totals_;
 

@@ -1,8 +1,6 @@
 #include "ssa/batch.hpp"
 
-#include "ntt/four_step.hpp"
-#include "ntt/radix2.hpp"
-#include "ssa/pack.hpp"
+#include "ssa/resident.hpp"
 
 namespace hemul::ssa {
 
@@ -11,55 +9,46 @@ using fp::FpVec;
 
 namespace {
 
-/// Uniform engine access over the two transform paths, bound to one
-/// workspace. Spectra are in the producing engine's own order; they only
-/// ever meet this view's own inverse path, so the orders never mix.
-struct EngineView {
-  const ntt::Radix2Ntt* radix2 = nullptr;
-  const ntt::FourStepNtt* four_step = nullptr;
-  const SsaParams& params;
-  Workspace& ws;
-
-  EngineView(const SsaParams& p, Workspace& w) : params(p), ws(w) {
-    if (p.use_four_step()) {
-      four_step = &ntt::shared_four_step(p.transform_size);
-    } else {
-      radix2 = &ntt::shared_radix2(p.transform_size);
-    }
+u64 operand_hash(const BigUInt& operand) noexcept {
+  u64 h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  for (const u64 limb : operand.limbs()) {
+    h ^= limb;
+    h *= 0x100000001b3ULL;
   }
-
-  /// Forward spectrum of an operand into `dst` (resized; reuses its
-  /// capacity), transformed in place. dst must not be a pack buffer of
-  /// this view's workspace.
-  void forward_into(const BigUInt& operand, FpVec& dst) {
-    pack_into(operand, params, dst);
-    if (four_step != nullptr) {
-      four_step->forward_spectrum(dst, ws.turn_scratch);
-    } else {
-      radix2->forward_spectrum(dst);
-    }
-  }
-
-  /// Forward spectrum as a freshly owned vector (cache storage).
-  [[nodiscard]] FpVec forward_copy(const BigUInt& operand) {
-    FpVec out;
-    forward_into(operand, out);
-    return out;
-  }
-
-  /// product = carry_recover(inverse(fa . fb)); fa/fb may live in the
-  /// spectrum cache or in ws.spec_a/ws.spec_b, never in the pack buffers.
-  void product_into(BigUInt& product, const FpVec& fa, const FpVec& fb) {
-    if (four_step != nullptr) {
-      four_step->convolve_from_spectra(ws.pack_a, fa, fb, ws.turn_scratch);
-    } else {
-      radix2->convolve_from_spectra(ws.pack_a, fa, fb);
-    }
-    carry_recover_into(ws.pack_a, params.coeff_bits, product);
-  }
-};
+  return h;
+}
 
 }  // namespace
+
+BatchSpectrumProvider::BatchSpectrumProvider(
+    std::span<const std::pair<BigUInt, BigUInt>> jobs, TransformFn forward)
+    : forward_(std::move(forward)) {
+  for (const auto& [a, b] : jobs) {
+    ++occurrences_[operand_hash(a)];
+    ++occurrences_[operand_hash(b)];
+  }
+}
+
+const FpVec& BatchSpectrumProvider::get(const BigUInt& operand, FpVec& scratch) {
+  const u64 key = operand_hash(operand);
+  const auto it = occurrences_.find(key);
+  const bool reused = it != occurrences_.end() && it->second > 1;
+  if (!reused) {
+    ++forward_transforms_;
+    forward_(operand, scratch);  // fills in place: scratch keeps its capacity
+    return scratch;
+  }
+  for (auto [entry, end] = spectra_.equal_range(key); entry != end; ++entry) {
+    if (entry->second.operand == operand) {
+      ++cache_hits_;
+      return entry->second.spectrum;
+    }
+  }
+  ++forward_transforms_;
+  FpVec owned;  // kept spectra own their storage
+  forward_(operand, owned);
+  return spectra_.emplace(key, Entry{operand, std::move(owned)})->second.spectrum;
+}
 
 std::vector<BigUInt> multiply_batch(std::span<const std::pair<BigUInt, BigUInt>> jobs,
                                     const SsaParams& params, Workspace& ws,
@@ -74,9 +63,9 @@ std::vector<BigUInt> multiply_batch(std::span<const std::pair<BigUInt, BigUInt>>
     return products;
   }
 
-  EngineView engine(params, ws);
-  BatchSpectrumProvider spectra(jobs, [&engine](const BigUInt& operand, FpVec& dst) {
-    engine.forward_into(operand, dst);
+  const SpectrumDomain domain(params, ws);
+  BatchSpectrumProvider spectra(jobs, [&domain](const BigUInt& operand, FpVec& dst) {
+    domain.forward_into(operand, dst);
   });
 
   for (const auto& [a, b] : jobs) {
@@ -88,7 +77,7 @@ std::vector<BigUInt> multiply_batch(std::span<const std::pair<BigUInt, BigUInt>>
     const FpVec& fb = spectra.get(b, ws.spec_b);
     ++local.inverse_transforms;
     products.emplace_back();
-    engine.product_into(products.back(), fa, fb);
+    domain.product_into(products.back(), fa, fb);
   }
 
   local.forward_transforms = spectra.forward_transforms();
@@ -100,35 +89,6 @@ std::vector<BigUInt> multiply_batch(std::span<const std::pair<BigUInt, BigUInt>>
 std::vector<BigUInt> multiply_batch(std::span<const std::pair<BigUInt, BigUInt>> jobs,
                                     const SsaParams& params, BatchStats* stats) {
   return multiply_batch(jobs, params, thread_workspace(), stats);
-}
-
-BigUInt multiply_cached(const BigUInt& a, const BigUInt& b, const SsaParams& params,
-                        ConcurrentSpectrumCache& cache, Workspace& ws, SsaStats* stats) {
-  if (a.is_zero() || b.is_zero()) return BigUInt{};
-
-  EngineView engine(params, ws);
-  u64 forwards_executed = 0;
-  const auto forward = [&engine, &forwards_executed](const BigUInt& operand) {
-    ++forwards_executed;
-    return engine.forward_copy(operand);
-  };
-  const std::shared_ptr<const FpVec> fa = cache.get_or_compute(a, params, forward);
-  const std::shared_ptr<const FpVec> fb =
-      a == b ? fa : cache.get_or_compute(b, params, forward);
-
-  BigUInt product;
-  engine.product_into(product, *fa, *fb);
-
-  if (stats != nullptr) {
-    stats->pointwise_muls += params.transform_size;
-    stats->transform_count += forwards_executed + 1;  // cache hits skip forwards
-  }
-  return product;
-}
-
-BigUInt multiply_cached(const BigUInt& a, const BigUInt& b, const SsaParams& params,
-                        ConcurrentSpectrumCache& cache) {
-  return multiply_cached(a, b, params, cache, thread_workspace(), nullptr);
 }
 
 }  // namespace hemul::ssa

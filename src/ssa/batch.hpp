@@ -1,11 +1,14 @@
 #pragma once
 
+#include <functional>
 #include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "bigint/biguint.hpp"
+#include "fp/fp64.hpp"
 #include "ssa/multiply.hpp"
-#include "ssa/spectrum_cache.hpp"
 
 namespace hemul::ssa {
 
@@ -24,6 +27,52 @@ struct BatchStats {
   }
 };
 
+/// Batch-scoped spectrum provider shared by the software and the
+/// simulated-hardware batch executors: it pre-counts operand occurrences
+/// across the whole batch and keeps only spectra that are actually reused,
+/// so a stream of unique operands costs no extra memory while a repeated
+/// operand is transformed exactly once. The kept spectra are the batch's
+/// own: they die with the provider.
+///
+/// Spectra are stored in the producing engine's own order; they are only
+/// ever combined by that same engine's inverse path, so the layout never
+/// leaks.
+class BatchSpectrumProvider {
+ public:
+  /// Computes the forward spectrum of the operand into the given buffer
+  /// (resizing it; callers reuse warmed capacity, so steady-state batches
+  /// of single-use operands transform without heap allocation).
+  using TransformFn = std::function<void(const bigint::BigUInt&, fp::FpVec&)>;
+
+  BatchSpectrumProvider(std::span<const std::pair<bigint::BigUInt, bigint::BigUInt>> jobs,
+                        TransformFn forward);
+
+  /// The forward spectrum of `operand`. Single-use operands are computed
+  /// into `scratch`, which must outlive the use of the returned reference;
+  /// reused operands live in the provider (stable for its lifetime).
+  const fp::FpVec& get(const bigint::BigUInt& operand, fp::FpVec& scratch);
+
+  [[nodiscard]] u64 forward_transforms() const noexcept { return forward_transforms_; }
+  [[nodiscard]] u64 cache_hits() const noexcept { return cache_hits_; }
+
+ private:
+  struct Entry {
+    bigint::BigUInt operand;
+    fp::FpVec spectrum;
+  };
+
+  TransformFn forward_;
+  /// Occurrences per operand hash. Counting by hash may conflate distinct
+  /// operands, which only means an extra spectrum gets kept -- entries
+  /// compare the operand itself, so results stay exact.
+  std::unordered_map<u64, unsigned> occurrences_;
+  /// Spectra of reused operands by operand hash. Node-based, so returned
+  /// references survive later insertions.
+  std::unordered_multimap<u64, Entry> spectra_;
+  u64 forward_transforms_ = 0;
+  u64 cache_hits_ = 0;
+};
+
 /// Multiplies a batch of operand pairs under one SsaParams instance,
 /// caching forward spectra of repeated operands: a batch that multiplies
 /// one integer against N others costs N+1 forward transforms instead of
@@ -39,18 +88,5 @@ std::vector<bigint::BigUInt> multiply_batch(
 std::vector<bigint::BigUInt> multiply_batch(
     std::span<const std::pair<bigint::BigUInt, bigint::BigUInt>> jobs,
     const SsaParams& params, Workspace& workspace, BatchStats* stats);
-
-/// One SSA multiplication whose forward spectra go through a shared
-/// thread-safe cache: the per-job entry point of the scheduler's PE lanes,
-/// where repeated operands are transformed once *across* lanes rather than
-/// once per batch. Squarings (a == b) fetch a single spectrum. Bit-exact
-/// against ssa::multiply. SsaStats (when given) reflect the transforms
-/// actually executed: 1 inverse plus one forward per cache miss, so a
-/// fully cached product reports 1, not 3.
-bigint::BigUInt multiply_cached(const bigint::BigUInt& a, const bigint::BigUInt& b,
-                                const SsaParams& params, ConcurrentSpectrumCache& cache,
-                                Workspace& workspace, SsaStats* stats = nullptr);
-bigint::BigUInt multiply_cached(const bigint::BigUInt& a, const bigint::BigUInt& b,
-                                const SsaParams& params, ConcurrentSpectrumCache& cache);
 
 }  // namespace hemul::ssa

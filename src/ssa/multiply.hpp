@@ -11,8 +11,7 @@ namespace hemul::ssa {
 ///
 /// transform_count counts transforms *actually executed*: 3 for a full
 /// multiplication (two forward + one inverse), 2 for a squaring, and less
-/// on spectrum-cache-hit paths (a cached operand skips its forward
-/// transform -- see multiply_cached / multiply_batch).
+/// where a batch reuses an operand's spectrum (see multiply_batch).
 struct SsaStats {
   u64 pointwise_muls = 0;   ///< component-wise products (paper: 65536)
   u64 transform_count = 0;  ///< forward + inverse NTTs actually run

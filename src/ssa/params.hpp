@@ -6,14 +6,6 @@
 
 namespace hemul::ssa {
 
-/// Memory layout of the spectra a parameterization produces. Spectra are
-/// only meaningful to the inverse path of the engine that produced them;
-/// caches key entries by this tag so layouts never mix.
-enum class SpectralLayout {
-  kRadix2Engine,    ///< bit-reversed order of the radix-2 DIF sweep
-  kFourStepEngine,  ///< row-major n2 x n1 [rev(k2)][rev(k1)] four-step order
-};
-
 /// Transform length at which the four-step path beats the monolithic
 /// radix-2 sweep on this codebase's kernels. The win is not (primarily)
 /// cache blocking: the vector-parallel sub-transforms replace the scalar
@@ -52,15 +44,10 @@ struct SsaParams {
 
   /// Does the transform run as the four-step cache-blocked engine (true)
   /// or the radix-2 sweep (false)? Decided by transform_size alone, so
-  /// every consumer (multiply, batch, resident domain, caches) resolves the
-  /// same engine for the same parameterization.
+  /// every consumer (multiply_into, SpectrumDomain) resolves the same
+  /// engine for the same parameterization.
   [[nodiscard]] bool use_four_step() const noexcept {
     return transform_size >= kFourStepMinTransform;
-  }
-
-  /// Layout of the spectra this parameterization produces (cache keying).
-  [[nodiscard]] SpectralLayout spectral_layout() const noexcept {
-    return use_four_step() ? SpectralLayout::kFourStepEngine : SpectralLayout::kRadix2Engine;
   }
 
   /// Maximum operand size this instance can multiply exactly.

@@ -22,19 +22,33 @@ SpectrumDomain::SpectrumDomain(const SsaParams& params, Workspace& ws)
   }
 }
 
+void SpectrumDomain::forward_into(const BigUInt& operand, fp::FpVec& dst) const {
+  // Pack straight into dst and transform in place; the four-step
+  // corner-turn scratch lives in the workspace, so steady state stays
+  // allocation-free.
+  pack_into(operand, params_, dst);
+  if (four_step_ != nullptr) {
+    four_step_->forward_spectrum(dst, ws_->turn_scratch);
+  } else {
+    radix2_->forward_spectrum(dst);
+  }
+}
+
+void SpectrumDomain::product_into(BigUInt& product, const fp::FpVec& fa,
+                                  const fp::FpVec& fb) const {
+  if (four_step_ != nullptr) {
+    four_step_->convolve_from_spectra(ws_->pack_a, fa, fb, ws_->turn_scratch);
+  } else {
+    radix2_->convolve_from_spectra(ws_->pack_a, fa, fb);
+  }
+  carry_recover_into(ws_->pack_a, params_.coeff_bits, product);
+}
+
 void SpectrumDomain::enter(ResidentSpectrum& out, const BigUInt& value) const {
   const std::size_t bits = value.bit_length();
   HEMUL_CHECK_MSG(bits <= params_.max_operand_bits(),
                   "enter: value exceeds the packing geometry");
-  // Pack straight into the resident buffer and transform in place; the
-  // four-step corner-turn scratch lives in the workspace, so steady state
-  // stays allocation-free.
-  pack_into(value, params_, out.spec);
-  if (four_step_ != nullptr) {
-    four_step_->forward_spectrum(out.spec, ws_->turn_scratch);
-  } else {
-    radix2_->forward_spectrum(out.spec);
-  }
+  forward_into(value, out.spec);
   out.degree = std::max<u64>(1, (bits + params_.coeff_bits - 1) / params_.coeff_bits);
   out.coeff_bound = operand_bound();
 }

@@ -46,9 +46,9 @@ struct ResidentSpectrum {
   }
 };
 
-/// Shared ownership handle for resident spectra: the caches, the scheduler
-/// lanes and the evaluator all hold the same immutable-once-published
-/// spectrum without copies.
+/// Shared ownership handle for resident spectra: the owning evaluation
+/// and the scheduler lanes that read it hold the same
+/// immutable-once-published spectrum without copies.
 using SpectrumHandle = std::shared_ptr<ResidentSpectrum>;
 
 /// Exactness headroom (in bits) the spectrum-resident evaluator asks of
@@ -58,20 +58,35 @@ using SpectrumHandle = std::shared_ptr<ResidentSpectrum>;
 /// length is the same 1024 points with or without the headroom.
 inline constexpr unsigned kResidentHeadroomBits = 6;
 
-/// Binds one SSA parameterization (packing geometry + engine) to a
-/// workspace and exposes the spectrum-domain operations the evaluator
-/// composes: enter (pack + forward), pointwise multiply, lazy pointwise
-/// accumulate, and leave (inverse + carry recovery).
+/// The one binding of an SSA parameterization (packing geometry + engine)
+/// to a workspace. It exposes the spectrum-domain operations the evaluator
+/// composes -- enter (pack + forward), pointwise multiply, lazy pointwise
+/// accumulate, and leave (inverse + carry recovery) -- and the raw-vector
+/// pair the batch executor runs on: forward_into and the fused
+/// product_into.
 ///
 /// Spectra produced by one SpectrumDomain are only meaningful to a domain
 /// with the same geometry, which fixes the engine (radix-2 below
 /// kFourStepMinTransform, four-step above; each stores its own engine
-/// order); the caches key resident entries accordingly.
+/// order). Every spectrum has one owner that holds its geometry: an
+/// fhe::EvalState for wire spectra, a batch for its reused operands.
 class SpectrumDomain {
  public:
   /// Engines are resolved through the process-wide shared caches, so
   /// construction is cheap after first use of a geometry.
   SpectrumDomain(const SsaParams& params, Workspace& ws);
+
+  /// dst = forward spectrum of `operand` in this engine's order (resized;
+  /// reuses its capacity). Requires operand.bit_length() <=
+  /// params.max_operand_bits(); dst must not be a pack buffer of the
+  /// workspace.
+  void forward_into(const bigint::BigUInt& operand, fp::FpVec& dst) const;
+
+  /// product = carry_recover(inverse(fa . fb)) for two operand spectra
+  /// from forward_into: the tail of a multiplication, fused so the
+  /// pointwise product lands straight in the inverse buffer. fa/fb must
+  /// not be the workspace's pack buffers.
+  void product_into(bigint::BigUInt& product, const fp::FpVec& fa, const fp::FpVec& fb) const;
 
   /// out = forward spectrum of `value` (an operand spectrum). Requires
   /// value.bit_length() <= params.max_operand_bits(). Reuses out.spec's
@@ -110,9 +125,9 @@ class SpectrumDomain {
   [[nodiscard]] const SsaParams& params() const noexcept { return params_; }
 
  private:
-  /// Exactly one engine pointer is set, following params.spectral_layout():
-  /// spectra entered through this domain carry that layout, and the caches
-  /// key resident entries by it, so bound tracking is layout-independent.
+  /// Exactly one engine pointer is set, following params.use_four_step():
+  /// spectra entered through this domain carry that engine's order, so
+  /// bound tracking is order-independent.
   const ntt::Radix2Ntt* radix2_ = nullptr;
   const ntt::FourStepNtt* four_step_ = nullptr;
   SsaParams params_;

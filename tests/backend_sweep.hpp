@@ -13,17 +13,21 @@
 
 namespace hemul::testutil {
 
-/// A downsized simulated accelerator (512-point pipeline, plan 8*8*8) that
-/// multiplies operands of up to 4096 bits -- the toy DGHV scheme's
-/// ciphertexts -- exactly. Suites that sweep every registered backend run
-/// their "hw" arms on it: simulating the 64K-point paper machine per
-/// product costs minutes under sanitizers, while the paper-size machine
-/// keeps its own coverage in test_hw_accel and test_hw_pipeline. Both
-/// sides of an hw comparison must use this same config.
-inline hw::AcceleratorConfig small_hw_config() {
+/// A downsized simulated accelerator that multiplies operands of up to
+/// `operand_bits` bits exactly: by default 4096 bits -- the toy DGHV
+/// scheme's ciphertexts -- on a 512-point pipeline (plan 8*8*8); wider
+/// operands widen the first radix (8192 bits: 1024 points, 16*8*8), up to
+/// the hardware's radix-64 limit (4096 points). Suites that sweep every
+/// registered backend run their "hw" arms on it: simulating the 64K-point
+/// paper machine per product costs minutes under sanitizers, while the
+/// paper-size machine keeps its own coverage in test_hw_accel and
+/// test_hw_pipeline. Both sides of an hw comparison must use this same
+/// config.
+inline hw::AcceleratorConfig small_hw_config(std::size_t operand_bits = 4096) {
   hw::AcceleratorConfig config = hw::AcceleratorConfig::paper();
-  config.ssa = ssa::SsaParams::for_bits(4096);  // N = 512
-  config.ntt.plan = ntt::NttPlan::from_radices({8, 8, 8});
+  config.ssa = ssa::SsaParams::for_bits(operand_bits);
+  config.ntt.plan =
+      ntt::NttPlan::from_radices({static_cast<u32>(config.ssa.transform_size / 64), 8, 8});
   return config;
 }
 

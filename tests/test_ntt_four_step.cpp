@@ -10,7 +10,6 @@
 #include "ssa/multiply.hpp"
 #include "ssa/params.hpp"
 #include "ssa/resident.hpp"
-#include "ssa/spectrum_cache.hpp"
 #include "ssa/workspace.hpp"
 #include "util/rng.hpp"
 
@@ -262,33 +261,6 @@ TEST(SsaFourStep, SpectrumDomainRoundTripsWithFourStepEngine) {
   domain.leave(materialized, acc);
   const BigUInt ab = bigint::mul_schoolbook(a, b);
   EXPECT_EQ(materialized, ab + ab);
-}
-
-TEST(SsaFourStep, SpectrumCacheSeparatesLayouts) {
-  // One value cached under a radix-2 geometry and a four-step geometry:
-  // the two spectra are layout-incompatible, so the cache must never
-  // serve one for the other.
-  const ssa::SsaParams four = ssa::SsaParams::for_bits(1024);
-  const ssa::SsaParams radix2 = ssa::SsaParams::for_bits(200);
-  ASSERT_TRUE(four.use_four_step());
-  ASSERT_FALSE(radix2.use_four_step());
-  ASSERT_NE(four.spectral_layout(), radix2.spectral_layout());
-
-  util::Rng rng(29);
-  const BigUInt a = BigUInt::random_bits(rng, 200);
-  ssa::ConcurrentSpectrumCache cache;
-  u64 transforms = 0;
-  const auto forward = [&](const BigUInt&) {
-    ++transforms;
-    return FpVec(four.transform_size, fp::kOne);
-  };
-  (void)cache.get_or_compute(a, four, forward);
-  (void)cache.get_or_compute(a, radix2, forward);
-  EXPECT_EQ(transforms, 2u);  // layout mismatch => no cross-serving
-  EXPECT_EQ(cache.size(), 2u);
-  (void)cache.get_or_compute(a, four, forward);
-  (void)cache.get_or_compute(a, radix2, forward);
-  EXPECT_EQ(transforms, 2u);  // same layout still hits
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include "ssa/pack.hpp"
 #include "ssa/params.hpp"
 #include "ssa/resident.hpp"
-#include "ssa/spectrum_cache.hpp"
 #include "ssa/workspace.hpp"
 #include "util/rng.hpp"
 
@@ -195,36 +194,6 @@ TEST(SsaSquare, ZeroAndEdges) {
   EXPECT_EQ(square(ones, params), BigUInt::pow2(2000) - BigUInt::pow2(1001) + BigUInt{1});
 }
 
-TEST(SsaStatsAccounting, CachedPathCountsOnlyExecutedTransforms) {
-  // The overcounting fix: a spectrum-cache hit skips the operand's forward
-  // transform, and transform_count must say so instead of charging 3.
-  util::Rng rng(80);
-  const BigUInt a = BigUInt::random_bits(rng, 8000);
-  const BigUInt b = BigUInt::random_bits(rng, 8000);
-  const SsaParams params = SsaParams::for_bits(8000);
-  ConcurrentSpectrumCache cache;
-  Workspace workspace;
-
-  SsaStats cold;
-  const BigUInt first = multiply_cached(a, b, params, cache, workspace, &cold);
-  EXPECT_EQ(cold.transform_count, 3u);  // two forwards + one inverse
-
-  SsaStats warm;
-  const BigUInt second = multiply_cached(a, b, params, cache, workspace, &warm);
-  EXPECT_EQ(warm.transform_count, 1u);  // both spectra cached: inverse only
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(first, bigint::mul_schoolbook(a, b));
-
-  const BigUInt fresh = BigUInt::random_bits(rng, 8000);
-  SsaStats sq;
-  (void)multiply_cached(fresh, fresh, params, cache, workspace, &sq);
-  EXPECT_EQ(sq.transform_count, 2u);  // one fresh forward + inverse
-
-  SsaStats hot_square;
-  (void)multiply_cached(fresh, fresh, params, cache, workspace, &hot_square);
-  EXPECT_EQ(hot_square.transform_count, 1u);  // cached spectrum: inverse only
-}
-
 TEST(SsaStatsAccounting, BatchTransformCountReflectsCacheHits) {
   // A batch of one operand against N others runs N+1 forwards + N
   // inverses -- not the naive 3N.
@@ -293,39 +262,6 @@ TEST(SpectrumDomain, LazyBoundTrackingSurvivesAdversarialAccumulation) {
     domain.leave(materialized, acc);
     EXPECT_EQ(materialized, expected) << bits << " bits";
   }
-}
-
-TEST(SpectrumCacheResidency, WireKeyedEntriesInsertFindEvict) {
-  SpectrumCache cache;
-  auto handle = std::make_shared<ResidentSpectrum>();
-  handle->degree = 3;
-  cache.insert_resident(42, handle);
-  ASSERT_NE(cache.find_resident(42), nullptr);
-  EXPECT_EQ(cache.find_resident(42)->get(), handle.get());
-  EXPECT_EQ(cache.find_resident(7), nullptr);
-  EXPECT_EQ(cache.resident_entries(), 1u);
-  EXPECT_TRUE(cache.evict_resident(42));
-  EXPECT_FALSE(cache.evict_resident(42));
-  EXPECT_EQ(cache.resident_entries(), 0u);
-
-  // Value-keyed entries and wire-keyed entries are independent planes.
-  cache.insert_resident(1, handle);
-  EXPECT_EQ(cache.size(), 0u);
-  cache.clear();
-  EXPECT_EQ(cache.resident_entries(), 0u);
-
-  ConcurrentSpectrumCache shared;
-  shared.put_resident(1, handle);
-  shared.put_resident(2, handle);
-  EXPECT_EQ(shared.resident_size(), 2u);
-  EXPECT_NE(shared.get_resident(1), nullptr);
-  EXPECT_EQ(shared.get_resident(99), nullptr);
-  EXPECT_TRUE(shared.evict_resident(1));
-  EXPECT_FALSE(shared.evict_resident(1));
-  EXPECT_EQ(shared.resident_size(), 1u);
-  const ConcurrentSpectrumCache::Stats stats = shared.stats();
-  EXPECT_EQ(stats.resident_peak, 2u);
-  EXPECT_EQ(stats.resident_evictions, 1u);
 }
 
 TEST(SsaMultiply, IntoVariantReusesOutputAndAliasesSafely) {

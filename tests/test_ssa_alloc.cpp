@@ -12,11 +12,13 @@
 
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "bigint/mul.hpp"
-#include "ssa/batch.hpp"
+#include "core/scheduler.hpp"
 #include "ssa/multiply.hpp"
 #include "ssa/pack.hpp"
+#include "ssa/resident.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -192,28 +194,47 @@ TEST_F(SsaAllocationAudit, AllocatingWrapperOnlyPaysForTheProduct) {
   EXPECT_EQ(allocs, 1u);
 }
 
-TEST_F(SsaAllocationAudit, CacheHitMultiplyCachedIsAllocationFreeModuloProduct) {
-  // Once both spectra are cached, a lane's multiply_cached only allocates
-  // the product it returns.
-  util::Rng rng(5);
+TEST_F(SsaAllocationAudit, SchedulerLaneMultiplyAllocatesOnlyTheProduct) {
+  // An "ssa" scheduler lane multiplies in its own workspace with nothing
+  // shared across lanes: once warm, engine.multiply of operands the lane
+  // has never seen allocates the returned product and nothing else. The
+  // counter is thread-local, so the job counts the lane thread's own
+  // allocations.
+  util::Rng rng(7);
   const std::size_t bits = 20000;
-  const BigUInt a = BigUInt::random_bits(rng, bits);
-  const BigUInt b = BigUInt::random_bits(rng, bits);
-  const SsaParams params = SsaParams::for_bits(bits);
+  std::vector<BigUInt> operands;
+  for (int i = 0; i < 8; ++i) operands.push_back(BigUInt::random_bits(rng, bits));
 
-  ConcurrentSpectrumCache cache;
-  Workspace workspace;
-  const BigUInt expected = multiply_cached(a, b, params, cache, workspace, nullptr);
-  (void)multiply_cached(a, b, params, cache, workspace, nullptr);
+  core::Config config;
+  config.backend_name = "ssa";
+  config.num_workers = 1;
+  core::Scheduler scheduler(config);
 
-  BigUInt product;
-  const u64 allocs = allocations_in([&] {
-    product = multiply_cached(a, b, params, cache, workspace, nullptr);
-  });
-  EXPECT_EQ(product, expected);
-  // Product limbs + the move of the returned value; everything transform-
-  // related must be reused. Allow the one product allocation only.
-  EXPECT_LE(allocs, 1u);
+  std::vector<u64> allocs;
+  std::vector<BigUInt> products;
+  allocs.reserve(operands.size());
+  products.reserve(operands.size());
+  scheduler
+      .submit([&](backend::MultiplierBackend& engine) {
+        // Warm-up: shared engines, the lane workspace, the stats mutex.
+        (void)engine.multiply(operands[0], operands[1]);
+        (void)engine.multiply(operands[0], operands[1]);
+        for (std::size_t i = 2; i + 1 < operands.size(); i += 2) {
+          BigUInt product;
+          const u64 count = allocations_in(
+              [&] { product = engine.multiply(operands[i], operands[i + 1]); });
+          allocs.push_back(count);
+          products.push_back(std::move(product));
+        }
+        return BigUInt{};
+      })
+      .get();
+
+  ASSERT_EQ(allocs.size(), 3u);
+  for (std::size_t k = 0; k < allocs.size(); ++k) {
+    EXPECT_EQ(allocs[k], 1u) << "product " << k;
+    EXPECT_EQ(products[k], bigint::mul_karatsuba(operands[2 * k + 2], operands[2 * k + 3]));
+  }
 }
 
 }  // namespace

@@ -17,6 +17,13 @@ Every bench JSON carries two classes of tracked metrics:
     annotation) and never fails CI. The numbers are still recorded in the
     comparison artifact so trends are visible across commits.
 
+A result is only compared against a baseline recorded under the same run
+config (CONFIG_KEYS: sizes, quick mode, backend, worker counts, scheme
+parameters). A mismatch FAILS that bench without comparing its metrics:
+a size change would otherwise read as a regression or a speedup. A
+differing hardware_concurrency only warns, until the baselines are
+re-recorded on a multi-core host.
+
 Intentional changes (a new optimization shifts a hard metric) are handled
 by regenerating the committed baseline in the same PR -- see
 CONTRIBUTING.md.
@@ -188,6 +195,26 @@ TRACKED = {
 }
 
 
+# Top-level keys of each bench JSON that describe how it was run. A result
+# whose values differ from its baseline's is refused (hard failure).
+CONFIG_KEYS = {
+    "backend_batch.json": ["jobs", "bits"],
+    "ntt_software.json": ["quick"],
+    "scheduler_throughput.json": ["backend", "jobs", "bits"],
+    "circuit_wavefront.json": ["backend", "workers", "eta", "gamma"],
+    "service_throughput.json": ["backend", "requests_per_tenant"],
+    "fleet_throughput.json": ["backend", "requests_per_tenant"],
+}
+# Config keys whose mismatch only warns (see the module docstring).
+SOFT_CONFIG_KEYS = ["hardware_concurrency"]
+
+
+def config_mismatches(keys, baseline, current):
+    """[(key, baseline value, current value)] for every differing key."""
+    return [(key, baseline.get(key), current.get(key)) for key in keys
+            if baseline.get(key) != current.get(key)]
+
+
 def annotate(level, message):
     # GitHub Actions annotation when running in CI; plain stderr otherwise.
     print(f"::{level}::{message}" if "GITHUB_ACTIONS" in os.environ
@@ -267,6 +294,19 @@ def main():
             annotate("warning",
                      f"{bench_file}: no committed baseline (new bench?); "
                      f"commit {baseline_path} to start tracking")
+        else:
+            for key, base, cur in config_mismatches(SOFT_CONFIG_KEYS, baseline, current):
+                annotate("warning", f"{bench_file}: run config {key} differs "
+                                    f"(baseline {base!r}, current {cur!r})")
+            mismatches = config_mismatches(CONFIG_KEYS[bench_file], baseline, current)
+            if mismatches:
+                detail = ", ".join(f"{key}: baseline {base!r}, current {cur!r}"
+                                   for key, base, cur in mismatches)
+                annotate("error", f"{bench_file}: run config differs from the baseline "
+                                  f"({detail}); refusing to compare")
+                failures += 1
+                report["benches"][bench_file] = {"error": f"config mismatch: {detail}"}
+                continue
 
         bench_report = {}
         for metric in metrics:
